@@ -286,13 +286,6 @@ def _hier_summary(h: hier.HierarchyResult) -> dict:
     }
 
 
-def _trace_summary(h: hier.HierarchyResult) -> list[dict]:
-    return [
-        {"step": t.step, "degrees": dict(t.degrees), "removed": list(t.removed)}
-        for t in h.trace
-    ]
-
-
 def compute_bundle(data: IncidenceData, groups: dict) -> dict:
     """Everything the bundled dataset is expected to reproduce, as one dict."""
     m = netmat.bipartite_adjacency(data)
@@ -317,7 +310,7 @@ def compute_bundle(data: IncidenceData, groups: dict) -> dict:
     }
     bundle = {
         "hierarchy": _hier_summary(h),
-        "trace": _trace_summary(h),
+        "trace": h.to_json_dict()["trace"],
         "restricted_to_rows": _hier_summary(hier.restrict_hierarchy(h, women)),
         "restricted_to_cols": _hier_summary(hier.restrict_hierarchy(h, events)),
         "restricted_groups": {

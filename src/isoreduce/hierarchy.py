@@ -131,8 +131,8 @@ def sequential_reduce(m: RfMatrix, rule: SelectionRule = min_degree_rule) -> Hie
         trace=tuple(trace),
         step_count=len(removals),
     )
-    # core and levels must partition the input labels
-    assert sorted(result.all_labels) == sorted(m.labels)
+    if sorted(result.all_labels) != sorted(m.labels):
+        raise RuntimeError("core and levels do not partition the input labels")
     return result
 
 

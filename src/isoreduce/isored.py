@@ -7,6 +7,18 @@ influence into the surviving entries:
 
 computed exactly, so the eigenvalue equation of the smaller matrix retains
 the spectrum of the original (outside the spectrum of the removed block).
+
+reduce removes the nodes of S̄ one at a time. Removing node r updates every
+surviving entry by the single-node Schur complement
+
+    e_ij <- e_ij - e_ir e_rj / (e_rr - x)
+
+and by the quotient formula for Schur complements (Crabtree & Haynsworth,
+1969) the result is exactly the block formula above. The pivot e_rr - x
+never vanishes while every entry stays bounded as x -> oo (numerator degree
+at most denominator degree): constant matrices meet that, and each removal
+keeps it, since the subtracted term tends to zero. A vanishing pivot raises
+SingularMatrixError and is never pivoted around.
 """
 
 from __future__ import annotations
@@ -58,32 +70,12 @@ def invert_over_field(block: Sequence[Sequence[RatFun]]) -> list[list[RatFun]]:
     return inv
 
 
-def _matmul(a: Sequence[Sequence[RatFun]], b: Sequence[Sequence[RatFun]]) -> list[list[RatFun]]:
-    rows, inner = len(a), len(b)
-    cols = len(b[0]) if inner else 0
-    out = []
-    for i in range(rows):
-        arow = a[i]
-        row = []
-        for j in range(cols):
-            acc = RatFun.ZERO
-            for k in range(inner):
-                v = arow[k]
-                if not v.is_zero and not b[k][j].is_zero:
-                    acc = acc + v * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 @dataclass(frozen=True)
 class ReductionResult:
-    """Outcome of one reduction: the surviving matrix, the removed nodes, and
-    the shifted removed block (M_S̄S̄ - x I), kept for verification."""
+    """Outcome of one reduction: the surviving matrix and the removed nodes."""
 
     reduced: RfMatrix
     removed: tuple[str, ...]
-    shifted_block: tuple[tuple[RatFun, ...], ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -98,6 +90,13 @@ def reduce(m: RfMatrix, s: Iterable[str]) -> ReductionResult:
 
     s must be a nonempty subset of m's labels; kept labels retain m's label
     order. With s equal to all labels the matrix is returned unchanged.
+
+    The removed nodes go one at a time, in label order: removing r sets
+    e_ij <- e_ij - e_ir e_rj / (e_rr - x) on the surviving entries, skipping
+    rows with e_ir = 0 and columns with e_rj = 0. By the quotient formula
+    this equals M_SS - M_SS̄ (M_S̄S̄ - x I)^(-1) M_S̄S. Raises
+    SingularMatrixError when a pivot e_rr - x is zero, which cannot happen
+    while every entry has numerator degree at most its denominator degree.
     """
     wanted = set(s)
     if not wanted:
@@ -107,30 +106,25 @@ def reduce(m: RfMatrix, s: Iterable[str]) -> ReductionResult:
     kept = [lab for lab in m.labels if lab in wanted]
     removed = [lab for lab in m.labels if lab not in wanted]
     if not removed:
-        return ReductionResult(m, (), ())
+        return ReductionResult(m, ())
 
+    e = [list(row) for row in m.entries]
+    alive = list(range(len(m)))
+    for lab in removed:
+        r = m.index(lab)
+        alive.remove(r)
+        pivot = e[r][r] - RatFun.X
+        if pivot.is_zero:
+            raise SingularMatrixError(f"pivot of {lab!r} vanishes over the function field")
+        rows = [i for i in alive if not e[i][r].is_zero]
+        for j in alive:
+            if e[r][j].is_zero:
+                continue
+            f = e[r][j] / pivot
+            for i in rows:
+                e[i][j] = e[i][j] - e[i][r] * f
     ki = [m.index(lab) for lab in kept]
-    ri = [m.index(lab) for lab in removed]
-    e = m.entries
-    m_ss = [[e[a][b] for b in ki] for a in ki]
-    m_sr = [[e[a][b] for b in ri] for a in ki]
-    m_rs = [[e[a][b] for b in ki] for a in ri]
-    x = RatFun.X
-    shifted = [
-        [e[a][b] - x if a == b else e[a][b] for b in ri]
-        for a in ri
-    ]
-    inv = invert_over_field(shifted)
-    correction = _matmul(_matmul(m_sr, inv), m_rs)
-    grid = [
-        [m_ss[i][j] - correction[i][j] for j in range(len(ki))]
-        for i in range(len(ki))
-    ]
-    return ReductionResult(
-        RfMatrix(kept, grid),
-        tuple(removed),
-        tuple(tuple(row) for row in shifted),
-    )
+    return ReductionResult(RfMatrix(kept, [[e[i][j] for j in ki] for i in ki]), tuple(removed))
 
 
 def reduce_sequence(m: RfMatrix, keep_sets: Sequence[Iterable[str]]) -> list[ReductionResult]:

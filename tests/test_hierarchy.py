@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from isoreduce import isored
 from isoreduce.exactnum import Polynomial, RatFun
 from isoreduce.hierarchy import (
     min_degree_rule,
@@ -125,6 +126,18 @@ def test_rule_contract_on_dgg(dgg_hierarchy):
 def test_rejects_rule_with_foreign_labels():
     with pytest.raises(ValueError):
         sequential_reduce(path3(), lambda m: frozenset({"zz"}))
+
+
+def test_lost_label_breaks_partition(monkeypatch):
+    real = isored.reduce
+
+    def drops_a_label(m, keep):
+        return real(m, sorted(keep, key=m.index)[:-1])
+
+    monkeypatch.setattr(isored, "reduce", drops_a_label)
+    path4 = RfMatrix("abcd", [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]])
+    with pytest.raises(RuntimeError, match="partition"):
+        sequential_reduce(path4)
 
 
 # -- single-mode hierarchies -------------------------------------------------------

@@ -91,7 +91,6 @@ def test_reduce_over_all_labels_is_identity_operation():
     out = reduce(m, m.labels)
     assert out.reduced == m
     assert out.removed == ()
-    assert out.shifted_block == ()
 
 
 def test_reduce_edge_to_self_loop():
@@ -108,7 +107,6 @@ def test_reduce_path_endpoints_hand_derivation():
     w = RatFun(1, Polynomial.X)
     assert out.reduced.labels == ("1", "3")
     assert list(map(list, out.reduced.entries)) == [[w, w], [w, w]]
-    assert out.shifted_block == ((-X,),)
 
 
 def test_reduce_keeps_original_label_order():
@@ -127,10 +125,43 @@ def test_reduce_errors():
 
 
 def test_reduce_singular_shifted_block():
-    # a diagonal entry equal to x makes the shifted block vanish identically
-    m = RfMatrix(("a", "b"), [[X, RatFun.ONE], [RatFun.ONE, X]])
-    with pytest.raises(SingularMatrixError):
-        reduce(m, ("b",))
+    # a diagonal entry equal to x makes the pivot e_aa - x vanish identically;
+    # in the 3x3 case the shifted block is invertible only by swapping rows
+    one, zero = RatFun.ONE, RatFun.ZERO
+    cases = [
+        (RfMatrix(("a", "b"), [[X, one], [one, X]]), ("b",)),
+        (RfMatrix(("a", "b", "c"), [[X, one, zero], [one, X, one], [zero, one, zero]]), ("c",)),
+    ]
+    for m, keep in cases:
+        with pytest.raises(SingularMatrixError):
+            reduce(m, keep)
+
+
+def _block_formula(m, keep):
+    ki = [m.index(lab) for lab in keep]
+    ri = [i for i in range(len(m)) if i not in ki]
+    e = m.entries
+    shifted = [[e[a][b] - (X if a == b else 0) for b in ri] for a in ri]
+    m_sr = [[e[a][b] for b in ri] for a in ki]
+    m_rs = [[e[a][b] for b in ki] for a in ri]
+    correction = _matmul(_matmul(m_sr, invert_over_field(shifted)), m_rs)
+    return [[e[a][b] - correction[i][j] for j, b in enumerate(ki)] for i, a in enumerate(ki)]
+
+
+def test_reduce_matches_block_formula_on_directed_and_rational_matrices():
+    rng = random.Random(19)
+    values = (-2, -1, 0, 0, 1, 3)
+    for _ in range(20):
+        n = rng.randint(3, 6)
+        labels = tuple(str(i) for i in range(n))
+        m = RfMatrix(labels, [[rng.choice(values) for _ in range(n)] for _ in range(n)])
+        # a first reduction turns the constant entries into rational functions
+        rational = reduce(m, rng.sample(labels, rng.randint(2, n - 1))).reduced
+        for mat in (m, rational):
+            keep = tuple(sorted(rng.sample(mat.labels, rng.randint(1, len(mat) - 1)), key=mat.index))
+            out = reduce(mat, keep).reduced
+            assert out.labels == keep
+            assert [list(row) for row in out.entries] == _block_formula(mat, keep)
 
 
 # -- sequences ---------------------------------------------------------------------
