@@ -242,6 +242,16 @@ def _load_groups(cfg: RunConfig) -> dict:
     return spec
 
 
+def _series_json(series: dyn.AttendanceSeries) -> dict:
+    """The counts of one series, with exact mean and sample variance from two counts on."""
+    out: dict = {"counts": list(series.counts)}
+    if len(series.counts) >= 2:
+        mean, var = dyn.series_stats(series)
+        out["mean"] = str(mean)
+        out["sample_variance"] = str(var)
+    return out
+
+
 def _cmd_dynamics(cfg: RunConfig) -> int:
     data = _load_input(cfg)
     if data.dates is None:
@@ -256,12 +266,7 @@ def _cmd_dynamics(cfg: RunConfig) -> int:
             for event, count in zip(series.events, series.counts):
                 d = data.date_of(event)
                 lines.append(f"{gname},{cname},{event},{d.month}/{d.day},{count}")
-            entry: dict = {"counts": list(series.counts)}
-            if len(series.counts) >= 2:
-                mean, var = dyn.series_stats(series)
-                entry["mean"] = str(mean)
-                entry["sample_variance"] = str(var)
-            summary[f"{gname}/{cname}"] = entry
+            summary[f"{gname}/{cname}"] = _series_json(series)
     _emit("\n".join(lines) + "\n", cfg.output)
     _emit(_json_text(summary), cfg.summary)
     return EXIT_OK
@@ -296,12 +301,7 @@ def compute_bundle(data: IncidenceData, groups: dict) -> dict:
     def series_block(gname, cname):
         ordered = dyn.chronological_order(data, groups["event_classes"][cname])
         series = dyn.group_attendance(data, groups["groups"][gname], ordered, name=gname)
-        block = {"events": list(series.events), "counts": list(series.counts)}
-        if len(series.counts) >= 2:
-            mean, var = dyn.series_stats(series)
-            block["mean"] = str(mean)
-            block["sample_variance"] = str(var)
-        return block
+        return {"events": list(series.events), **_series_json(series)}
 
     active, popular = dyn.classify_activity(data)
     level_means = {
@@ -363,8 +363,7 @@ def _diff(expected, got, path="") -> list[str]:
 
 def _cmd_reproduce(cfg: RunConfig) -> int:
     data = _load_input(cfg)
-    groups = json.loads(_data_path("dgg_groups.json").read_text(encoding="utf-8"))
-    bundle = compute_bundle(data, groups)
+    bundle = compute_bundle(data, _load_groups(cfg))
     expected = json.loads(_data_path("expected_dgg.json").read_text(encoding="utf-8"))
     if cfg.output:
         Path(cfg.output).write_text(_json_text(bundle), encoding="utf-8")

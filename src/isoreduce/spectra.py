@@ -1,10 +1,10 @@
 """Numeric certification that a reduction preserved the spectrum.
 
 Every eigenvalue of the original matrix that is not an eigenvalue of the
-removed block must be a root of det(reduced(x) - x I). The check evaluates
-that determinant at each computed eigenvalue and normalizes it into a
-root-distance scale, so a residual near machine precision certifies the
-root and a residual of order one refutes it.
+removed block must be a root of det(reduced(x) - x I). The check clears
+that determinant's poles with the removed block's eigenvalues, divides out
+the other eigenvalues, and sums it all in log space so nothing overflows.
+A residual near machine precision certifies the root; order one refutes it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import isored
-from .exactnum import Polynomial, RatFun
+from .exactnum import RatFun
 from .netmat import RfMatrix
 
 __all__ = ["ConvergenceError", "EigenCheck", "SpectrumReport", "sym_eigenvalues", "eval_det", "verify_spectrum"]
@@ -80,25 +80,24 @@ def sym_eigenvalues(
     raise ConvergenceError(f"Jacobi did not converge within {sweep_cap} sweeps")
 
 
-def _lu_det(a: list[list[float]]) -> float:
-    """Determinant by LU factorization with partial pivoting; 0.0 if singular."""
+def _lu_pivots(a: list[list[float]]) -> list[float] | None:
+    """LU pivots with partial pivoting, in place; None if singular. A row
+    swap negates the pivot it brings in, so the pivots multiply to the det."""
     n = len(a)
-    det = 1.0
+    pivots = []
     for col in range(n):
         pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
         if a[pivot][col] == 0.0:
-            return 0.0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
         piv = a[col][col]
-        det *= piv
+        pivots.append(piv if pivot == col else -piv)
         for r in range(col + 1, n):
             f = a[r][col] / piv
             if f:
                 for c in range(col + 1, n):
                     a[r][c] -= f * a[col][c]
-    return det
+    return pivots
 
 
 def eval_det(grid: Sequence[Sequence[RatFun]], x: float, pole_tol: float = 1e-12) -> float:
@@ -110,8 +109,8 @@ def eval_det(grid: Sequence[Sequence[RatFun]], x: float, pole_tol: float = 1e-12
     n = len(grid)
     if any(len(row) != n for row in grid):
         raise ValueError("matrix must be square")
-    vals = [[v(x, pole_tol=pole_tol) for v in row] for row in grid]
-    return _lu_det(vals)
+    pivots = _lu_pivots([[v(x, pole_tol=pole_tol) for v in row] for row in grid])
+    return 0.0 if pivots is None else math.prod(pivots, start=1.0)
 
 
 @dataclass(frozen=True)
@@ -155,6 +154,7 @@ def _float_matrix(m: RfMatrix) -> list[list[float]]:
 
 
 _EIG_TOL = 1e-12
+_LOG_CAP = 700.0  # exp(700) < the largest double: capped residuals stay finite and fail
 
 
 def verify_spectrum(
@@ -171,12 +171,14 @@ def verify_spectrum(
 
     For each remaining eigenvalue e the residual is
 
-        |det(reduced(e) - e I)| * prod(distinct denominators at e)
+        |det(reduced(e) - e I)| * prod(|mu - e| over removed-block eigenvalues mu)
                                 / prod(|e' - e| over far eigenvalues e')
 
-    which clears the reduced determinant's poles and divides out the
-    characteristic polynomial's slope, leaving the distance from e to the
-    nearest actual determinant root. Near-zero certifies; order one refutes.
+    By Schur's identity the numerator is |det(m - e I)|: the removed block's
+    eigenvalues clear the reduced determinant's poles. The divisor takes out
+    the characteristic polynomial's slope, leaving the distance from e to the
+    nearest actual root. It is summed as logs of the LU pivots and the
+    distances, capped at exp(700), and 0.0 if the LU is singular.
     """
     wanted = set(s)
     if not wanted:
@@ -195,12 +197,6 @@ def verify_spectrum(
     eig_removed = sym_eigenvalues(block, tol=_EIG_TOL)
 
     reduced = isored.reduce(m, wanted).reduced
-    dens: list[Polynomial] = []
-    for row in reduced.entries:
-        for v in row:
-            if v.den.degree > 0 and v.den not in dens:
-                dens.append(v.den)
-
     n = len(reduced)
     checks: list[EigenCheck] = []
     passed = True
@@ -214,16 +210,16 @@ def verify_spectrum(
         ]
         for i in range(n):
             vals[i][i] -= lam
-        det = abs(_lu_det(vals))
-        den_scale = 1.0
-        for d in dens:
-            den_scale *= abs(d(lam))
-        gap_scale = 1.0
-        for other in eig_full:
-            diff = abs(other - lam)
-            if diff > exclusion_gap:
-                gap_scale *= diff
-        residual = det * den_scale / gap_scale
+        pivots = _lu_pivots(vals)
+        if pivots is None:
+            residual = 0.0
+        else:
+            log_residual = (
+                sum(math.log(abs(p)) for p in pivots)
+                + sum(math.log(abs(mu - lam)) for mu in eig_removed)
+                - sum(math.log(abs(e - lam)) for e in eig_full if abs(e - lam) > exclusion_gap)
+            )
+            residual = math.exp(min(log_residual, _LOG_CAP))
         if not residual < tol:
             passed = False
         checks.append(EigenCheck(lam, False, residual))

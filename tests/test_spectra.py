@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from isoreduce.exactnum import Polynomial, RatFun
-from isoreduce.isored import reduce
+from isoreduce import isored
+from isoreduce.isored import ReductionResult, reduce
 from isoreduce.netmat import RfMatrix
 from isoreduce.spectra import eval_det, sym_eigenvalues, verify_spectrum
 
@@ -214,9 +216,23 @@ def test_verify_random_matrices():
         keep = tuple(str(i) for i in sorted(rng.sample(range(n), rng.randint(1, n - 1))))
         report = verify_spectrum(m, keep, tol=1e-6)
         assert report.passed, f"n={n} keep={keep}"
+    # deep removals: half of the nodes go, so the removed block often has
+    # repeated eigenvalues and the reduced entries share denominators
+    rng = random.Random(7)
+    for _ in range(40):
+        n = rng.randint(8, 14)
+        grid = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.3:
+                    grid[i][j] = grid[j][i] = 1
+        m = RfMatrix(tuple(str(i) for i in range(n)), grid)
+        keep = tuple(str(i) for i in sorted(rng.sample(range(n), n // 2)))
+        report = verify_spectrum(m, keep, tol=1e-6)
+        assert report.passed, f"n={n} keep={keep}"
 
 
-def test_verify_detects_a_wrong_reduction():
+def test_verify_detects_a_wrong_reduction(monkeypatch):
     # sanity: the residual has teeth; a wrong kept matrix must fail
     m = path3()
     wrong = RfMatrix(("1", "3"), [[RatFun(1, Polynomial.X), RatFun.ZERO],
@@ -236,6 +252,50 @@ def test_verify_detects_a_wrong_reduction():
     bogus_residual = det * den_scale / gap_scale
     assert max(good) < 1e-9
     assert bogus_residual > 1e-2
+
+    monkeypatch.setattr(isored, "reduce", lambda m, s: ReductionResult(wrong, ("2",)))
+    assert verify_spectrum(m, ("1", "3"), tol=1e-6).passed is False
+
+    # a large removed eigenvalue divides the residual down unless the poles
+    # are cleared by det(M_RR - xI), not by the denominators of the entries
+    big = RfMatrix(("1", "2", "3"), [[0, 1, 0], [1, 0, 1], [0, 1, 10**8]])
+    zero = RfMatrix(("1", "2"), [[0, 0], [0, 0]])
+    monkeypatch.setattr(isored, "reduce", lambda m, s: ReductionResult(zero, ("3",)))
+    assert verify_spectrum(big, ("1", "2"), tol=1e-6).passed is False
+
+
+def test_verify_dgg_removal_with_repeated_block_eigenvalues(dgg_matrix):
+    # the removed block has eigenvalue 0 four times, so the product of the
+    # reduced entries' distinct denominators is not det(M_RR - xI)
+    labels = list(dgg_matrix.labels)
+    removed = random.Random(9).sample(labels, 10)
+    report = verify_spectrum(dgg_matrix, [lab for lab in labels if lab not in removed])
+    assert report.passed
+    assert max(c.residual for c in report.checks if not c.excluded) < 1e-9
+
+
+def test_verify_residuals_stay_finite_when_products_overflow(monkeypatch):
+    # every float product over 30 eigenvalues near 1e11..3e12 overflows
+    n = 30
+    grid = [[0] * n for _ in range(n)]
+    for i in range(n):
+        grid[i][i] = (i + 1) * 10**11
+        if i + 1 < n:
+            grid[i][i + 1] = grid[i + 1][i] = 1
+    labels = tuple(f"n{i}" for i in range(n))
+    m = RfMatrix(labels, grid)
+    report = verify_spectrum(m, labels[2:])
+    assert report.passed
+    assert all(math.isfinite(c.residual) for c in report.checks if not c.excluded)
+    json.dumps(report.to_json_dict(), allow_nan=False)
+
+    # an overflowing residual is capped: finite, and still a failure
+    wrong = RfMatrix(labels[2:], [[v + 10**300 * (i == j) for j, v in enumerate(row[2:])]
+                                  for i, row in enumerate(grid[2:])])
+    monkeypatch.setattr(isored, "reduce", lambda m, s: ReductionResult(wrong, labels[:2]))
+    report = verify_spectrum(m, labels[2:])
+    assert not report.passed
+    assert all(1e300 < c.residual < math.inf for c in report.checks if not c.excluded)
 
 
 def test_verify_requires_proper_subset():
