@@ -1,7 +1,8 @@
 """Command-line front end: ingestion, subcommand dispatch, serialization.
 
 Exit codes: 0 success, 1 I/O or parse failure, 2 verification or golden
-mismatch, 64 usage error.
+mismatch, 3 computation failure (a singular pivot, a pole, an eigenvalue
+iteration that does not converge, a broken stage partition), 64 usage error.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = ["RunConfig", "UsageError", "parse_args", "run", "main", "entrypoint"]
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_MISMATCH = 2
+EXIT_COMPUTE = 3
 EXIT_USAGE = 64
 
 
@@ -408,6 +410,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except (ArithmeticError, RuntimeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
 
 
 def entrypoint():

@@ -232,20 +232,20 @@ def _coerce_poly(value):
 # -- gcd ---------------------------------------------------------------------
 
 
-def _primitive_int(p: Polynomial):
-    """Integer coefficient list of p scaled to primitive form; None if zero."""
-    if p.is_zero:
-        return None
-    denom = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * denom) for c in p.coeffs]
-    content = 0
-    for v in ints:
-        content = math.gcd(content, v)
+def _primitive(ints: list[int]) -> list[int]:
+    """A nonzero integer list divided by its content."""
+    content = math.gcd(*ints)
     return [v // content for v in ints]
 
 
+def _primitive_int(p: Polynomial) -> list[int]:
+    """Integer coefficient list of the nonzero p scaled to primitive form."""
+    lcm = math.lcm(*(c.denominator for c in p.coeffs))
+    return _primitive([c.numerator * (lcm // c.denominator) for c in p.coeffs])
+
+
 def _prim_pseudo_rem(a: list[int], b: list[int]):
-    """Primitive part of the pseudo-remainder of a by b (integer lists)."""
+    """Primitive part of the pseudo-remainder of a by b (integer lists); None if zero."""
     rem = list(a)
     db = len(b) - 1
     lb = b[-1]
@@ -257,28 +257,28 @@ def _prim_pseudo_rem(a: list[int], b: list[int]):
             rem[shift + j] -= lead * b[j]
         while rem and rem[-1] == 0:
             rem.pop()
-    if not rem:
-        return None
-    content = 0
-    for v in rem:
-        content = math.gcd(content, v)
-    return [v // content for v in rem]
+    return _primitive(rem) if rem else None
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor via the Euclidean remainder sequence.
 
-    Remainders are rescaled to primitive integer form at each step to keep
-    coefficient growth in check; rescaling by a nonzero rational does not
-    change the gcd. Raises ValueError when both inputs are zero.
+    The trivial cases are decided here, before any integer conversion:
+    gcd(0, 0) raises ValueError, a zero argument gives the other argument's
+    monic form, and a nonzero constant argument gives Polynomial.ONE.
+    Otherwise the remainders are rescaled to primitive integer form at each
+    step to keep coefficient growth in check; rescaling by a nonzero
+    rational does not change the gcd.
     """
-    fa, fb = _primitive_int(a), _primitive_int(b)
-    if fa is None and fb is None:
-        raise ValueError("gcd(0, 0) is undefined")
-    if fa is None:
+    if a.is_zero:
+        if b.is_zero:
+            raise ValueError("gcd(0, 0) is undefined")
         return b.monic()
-    if fb is None:
+    if b.is_zero:
         return a.monic()
+    if a.degree == 0 or b.degree == 0:
+        return Polynomial.ONE
+    fa, fb = _primitive_int(a), _primitive_int(b)
     if len(fa) < len(fb):
         fa, fb = fb, fa
     while fb is not None:
@@ -287,6 +287,8 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def _exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
+    if b == Polynomial.ONE:
+        return a
     q, r = divmod(a, b)
     if not r.is_zero:
         raise ArithmeticError("inexact polynomial division")
@@ -322,22 +324,10 @@ class RatFun:
                 raise TypeError("denominator must be a Polynomial or exact number")
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            object.__setattr__(self, "_num", Polynomial.ZERO)
-            object.__setattr__(self, "_den", Polynomial.ONE)
-            return
-        if den.degree > 0 or num.degree > 0:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = _exact_div(num, g)
-                den = _exact_div(den, g)
-        lc = den.leading
-        if lc != 1:
-            inv = 1 / lc
-            num = num * inv
-            den = den * inv
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
+        g = poly_gcd(num, den)
+        canon = RatFun._reduced(_exact_div(num, g), _exact_div(den, g))
+        object.__setattr__(self, "_num", canon._num)
+        object.__setattr__(self, "_den", canon._den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFun is immutable")
@@ -419,14 +409,9 @@ class RatFun:
         g = poly_gcd(b, d)
         if g == Polynomial.ONE:
             return RatFun._reduced(a * d + c * b, b * d)
-        b1 = _exact_div(b, g)
-        d1 = _exact_div(d, g)
+        b1, d1 = _exact_div(b, g), _exact_div(d, g)
         t = a * d1 + c * b1
-        if t.is_zero:
-            return RatFun.ZERO
         h = poly_gcd(t, g)
-        if h == Polynomial.ONE:
-            return RatFun._reduced(t, b1 * d)
         return RatFun._reduced(_exact_div(t, h), b1 * d1 * _exact_div(g, h))
 
     __radd__ = __add__
@@ -449,19 +434,12 @@ class RatFun:
             return NotImplemented
         a, b = self._num, self._den
         c, d = other._num, other._den
-        if a.is_zero or c.is_zero:
-            return RatFun.ZERO
         if b == Polynomial.ONE and d == Polynomial.ONE:
             return RatFun._reduced(a * c, Polynomial.ONE)
-        g1 = poly_gcd(a, d) if d.degree > 0 else Polynomial.ONE
-        g2 = poly_gcd(c, b) if b.degree > 0 else Polynomial.ONE
-        if g1.degree > 0:
-            a = _exact_div(a, g1)
-            d = _exact_div(d, g1)
-        if g2.degree > 0:
-            c = _exact_div(c, g2)
-            b = _exact_div(b, g2)
-        return RatFun._reduced(a * c, b * d)
+        g1, g2 = poly_gcd(a, d), poly_gcd(c, b)
+        return RatFun._reduced(
+            _exact_div(a, g1) * _exact_div(c, g2), _exact_div(b, g2) * _exact_div(d, g1)
+        )
 
     __rmul__ = __mul__
 

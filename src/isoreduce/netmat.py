@@ -193,33 +193,25 @@ def bipartite_adjacency(data: IncidenceData) -> RfMatrix:
     return RfMatrix(labels, grid)
 
 
+def _gram(labels: Sequence[str], rows: Sequence[Sequence]) -> RfMatrix:
+    """The matrix of dot products of every pair of rows, as exact constants."""
+    return RfMatrix(
+        labels, [[RatFun.constant(sum(x * y for x, y in zip(u, v))) for v in rows] for u in rows]
+    )
+
+
 def project_rows(data: IncidenceData) -> RfMatrix:
     """Row-mode projection A A^T; entry (i, k) counts shared columns.
 
     The diagonal keeps each row's total (its attendance count).
     """
-    n, m = data.shape
-    grid = []
-    for i in range(n):
-        ri = data.matrix[i]
-        grid.append(
-            [RatFun.constant(sum(ri[j] * data.matrix[k][j] for j in range(m))) for k in range(n)]
-        )
-    return RfMatrix(data.row_labels, grid)
+    return _gram(data.row_labels, data.matrix)
 
 
 def project_cols(data: IncidenceData) -> RfMatrix:
     """Column-mode projection A^T A; entry (j, l) counts shared rows."""
-    n, m = data.shape
-    grid = []
-    for j in range(m):
-        grid.append(
-            [
-                RatFun.constant(sum(data.matrix[i][j] * data.matrix[i][l] for i in range(n)))
-                for l in range(m)
-            ]
-        )
-    return RfMatrix(data.col_labels, grid)
+    cols = range(len(data.col_labels))
+    return _gram(data.col_labels, [[row[j] for row in data.matrix] for j in cols])
 
 
 def mode_convert(
@@ -278,14 +270,8 @@ def mode_convert(
             raise ValueError(f"mode {i} has {rows} nodes but {len(labels)} labels")
     else:
         labels = tuple(f"M{i}_{k + 1}" for k in range(rows))
-    grid = [
-        [
-            RatFun.constant(sum(a_ij[r][t] * a_ji[t][c] for t in range(cols)))
-            for c in range(rows)
-        ]
-        for r in range(rows)
-    ]
-    return RfMatrix(labels, grid)
+    # A_ji = A_ij^T was checked above, so A_ij A_ji is the Gram matrix of A_ij's rows.
+    return _gram(labels, a_ij)
 
 
 def _resolve(m: RfMatrix, labels: Iterable[str], what: str) -> list[int]:

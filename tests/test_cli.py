@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from isoreduce import cli
+from isoreduce import cli, isored, spectra
 from isoreduce.cli import matrix_from_csv, matrix_to_csv, matrix_to_dot, parse_args
 from isoreduce.netmat import bipartite_adjacency, project_rows
 
@@ -134,6 +134,25 @@ def test_verify_exit_2_on_failure(tmp_path):
     code = cli.main(["verify", "--keep", str(keep), "--tol", "1e-30",
                      "--output", str(tmp_path / "r.json")])
     assert code == 2
+
+
+def test_computation_failures_exit_3(tmp_path, monkeypatch, capsys):
+    keep = tmp_path / "keep.txt"
+    keep.write_text("W_1\nE_1\n")
+
+    def singular(m, s):
+        raise isored.SingularMatrixError("pivot of 'W_2' vanishes over the function field")
+
+    def no_convergence(m, tol=None):
+        raise spectra.ConvergenceError("Jacobi iteration did not converge")
+
+    monkeypatch.setattr(isored, "reduce", singular)
+    assert cli.main(["reduce", "--keep", str(keep)]) == cli.EXIT_COMPUTE == 3
+    assert "error: pivot of 'W_2' vanishes" in capsys.readouterr().err
+    monkeypatch.undo()
+    monkeypatch.setattr(spectra, "sym_eigenvalues", no_convergence)
+    assert cli.main(["verify", "--keep", str(keep)]) == 3
+    assert "error: Jacobi iteration did not converge" in capsys.readouterr().err
 
 
 def test_dynamics_outputs(tmp_path):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -189,7 +190,7 @@ def test_poly_parse_rejects_garbage():
 
 # -- randomized properties --------------------------------------------------------
 
-coeffs = st.integers(min_value=-9, max_value=9)
+coeffs = st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=6)
 polys = st.lists(coeffs, max_size=7).map(Polynomial)
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
 ratfuns = st.builds(RatFun, polys, nonzero_polys)
@@ -204,6 +205,18 @@ def test_divmod_reconstruction(a, b):
     assert r.degree < b.degree
 
 
+def _sympy_monic_gcd(a, b):
+    # the independent oracle: sympy's gcd over QQ is monic
+    x = sympy.Symbol("x")
+
+    def to_sympy(p):
+        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+        return sympy.Poly(coeffs, x, domain="QQ")
+
+    g = sympy.gcd(to_sympy(a), to_sympy(b))
+    return Polynomial(Fraction(int(c.p), int(c.q)) for c in reversed(g.all_coeffs()))
+
+
 @settings(max_examples=300)
 @given(polys, polys)
 def test_gcd_divides_both(a, b):
@@ -214,6 +227,7 @@ def test_gcd_divides_both(a, b):
     for p in (a, b):
         if not p.is_zero:
             assert (p % g).is_zero
+    assert g == _sympy_monic_gcd(a, b)
 
 
 @settings(max_examples=300)

@@ -110,6 +110,10 @@ def test_col_projection_dgg_entries(dgg):
 def test_col_projection_disjoint_attendance():
     m = project_cols(small([[1, 0], [0, 1]]))
     assert [[int(v.as_fraction()) for v in row] for row in m.entries] == [[1, 0], [0, 1]]
+    # with no rows every column pair shares nothing
+    m = project_cols(small([], cols=("c0", "c1", "c2")))
+    assert m.labels == ("c0", "c1", "c2")
+    assert all(v.is_zero for row in m.entries for v in row) and len(m.entries) == 3
 
 
 def test_projection_shared_column_brute_force():
