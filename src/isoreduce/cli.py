@@ -297,6 +297,7 @@ def compute_bundle(data: IncidenceData, groups: dict) -> dict:
     """Everything the bundled dataset is expected to reproduce, as one dict."""
     m = netmat.bipartite_adjacency(data)
     h = hier.sequential_reduce(m)
+    rows_proj, cols_proj = netmat.project_rows(data), netmat.project_cols(data)
     women = list(data.row_labels)
     events = list(data.col_labels)
 
@@ -319,14 +320,10 @@ def compute_bundle(data: IncidenceData, groups: dict) -> dict:
             gname: _hier_summary(hier.restrict_hierarchy(h, members))
             for gname, members in groups["groups"].items()
         },
-        "rows_mode_hierarchy": _hier_summary(hier.sequential_reduce(netmat.project_rows(data))),
-        "cols_mode_hierarchy": _hier_summary(hier.sequential_reduce(netmat.project_cols(data))),
-        "rows_projection": [
-            [int(v.as_fraction()) for v in row] for row in netmat.project_rows(data).entries
-        ],
-        "cols_projection": [
-            [int(v.as_fraction()) for v in row] for row in netmat.project_cols(data).entries
-        ],
+        "rows_mode_hierarchy": _hier_summary(hier.sequential_reduce(rows_proj)),
+        "cols_mode_hierarchy": _hier_summary(hier.sequential_reduce(cols_proj)),
+        "rows_projection": [[int(v.as_fraction()) for v in row] for row in rows_proj.entries],
+        "cols_projection": [[int(v.as_fraction()) for v in row] for row in cols_proj.entries],
         "series": {
             f"{g}/{c}": series_block(g, c)
             for g in groups["groups"]

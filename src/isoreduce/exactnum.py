@@ -167,26 +167,23 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __divmod__(self, other) -> tuple["Polynomial", "Polynomial"]:
+        """Quotient and remainder over Q: self = q*other + r with deg r < deg other.
+
+        Pseudo-division of the integer forms A = d_a*self and B = d_b*other
+        gives s*A = Q*B + R, so q = Q*d_b/(s*d_a) and r = R/(s*d_a) exactly.
+        """
         other = _coerce_poly(other)
         if other is None:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._coeffs)
-        div = other._coeffs
-        dd = len(div) - 1
-        lc = div[-1]
-        if len(rem) - 1 < dd:
+        if self.degree < other.degree:
             return Polynomial.ZERO, self
-        quot = [Fraction(0)] * (len(rem) - dd)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            if rem[k] == 0:
-                continue
-            q = rem[k] / lc
-            quot[k - dd] = q
-            for j in range(dd + 1):
-                rem[k - dd + j] -= q * div[j]
-        return Polynomial(quot), Polynomial(rem[:dd])
+        a, d_a = _scaled_int(self)
+        b, d_b = _scaled_int(other)
+        q, r, s = _pseudo_divmod(a, b)
+        d = s * d_a
+        return Polynomial(Fraction(c * d_b, d) for c in q), Polynomial(Fraction(c, d) for c in r)
 
     def __floordiv__(self, other) -> "Polynomial":
         return divmod(self, other)[0]
@@ -229,35 +226,39 @@ def _coerce_poly(value):
     return None
 
 
-# -- gcd ---------------------------------------------------------------------
+# -- integer division and gcd ------------------------------------------------
 
 
 def _primitive(ints: list[int]) -> list[int]:
-    """A nonzero integer list divided by its content."""
+    """An integer list divided by its content; the empty list stays empty."""
     content = math.gcd(*ints)
     return [v // content for v in ints]
 
 
-def _primitive_int(p: Polynomial) -> list[int]:
-    """Integer coefficient list of the nonzero p scaled to primitive form."""
-    lcm = math.lcm(*(c.denominator for c in p.coeffs))
-    return _primitive([c.numerator * (lcm // c.denominator) for c in p.coeffs])
+def _scaled_int(p: Polynomial) -> tuple[list[int], int]:
+    """Integer coefficients of d*p, with d the lcm of p's denominators, and d."""
+    # a list: *generator builds a resized tuple, which piles up on CPython's free lists
+    d = math.lcm(*[c.denominator for c in p.coeffs])
+    return [c.numerator * (d // c.denominator) for c in p.coeffs], d
 
 
-def _prim_pseudo_rem(a: list[int], b: list[int]):
-    """Primitive part of the pseudo-remainder of a by b (integer lists); None if zero."""
-    rem = list(a)
-    db = len(b) - 1
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int], int]:
+    """Pseudo-division of integer lists, b nonzero: s*a = q*b + r, deg r < deg b.
+
+    Returns q, r (no trailing zeros) and s = lc(b)**max(deg a - deg b + 1, 0).
+    """
     lb = b[-1]
-    while rem and len(rem) - 1 >= db:
-        lead = rem[-1]
-        rem = [c * lb for c in rem[:-1]]
-        shift = len(rem) - db
-        for j in range(db):
-            rem[shift + j] -= lead * b[j]
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return _primitive(rem) if rem else None
+    r = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for i in reversed(range(len(q))):
+        lead = r.pop()
+        q[i] = lead * lb**i
+        r = [c * lb for c in r]
+        for j, c in enumerate(b[:-1]):
+            r[i + j] -= lead * c
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r, lb ** len(q)
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -278,11 +279,9 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return a.monic()
     if a.degree == 0 or b.degree == 0:
         return Polynomial.ONE
-    fa, fb = _primitive_int(a), _primitive_int(b)
-    if len(fa) < len(fb):
-        fa, fb = fb, fa
-    while fb is not None:
-        fa, fb = fb, _prim_pseudo_rem(fa, fb)
+    fa, fb = _primitive(_scaled_int(a)[0]), _primitive(_scaled_int(b)[0])
+    while fb:
+        fa, fb = fb, _primitive(_pseudo_divmod(fa, fb)[1])
     return Polynomial(fa).monic()
 
 

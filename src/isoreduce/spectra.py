@@ -100,16 +100,17 @@ def _lu_pivots(a: list[list[float]]) -> list[float] | None:
     return pivots
 
 
-def eval_det(grid: Sequence[Sequence[RatFun]], x: float, pole_tol: float = 1e-12) -> float:
+def eval_det(grid: Sequence[Sequence[RatFun]], x: float) -> float:
     """Determinant of the grid evaluated entrywise at x.
 
-    Pole errors from entry evaluation propagate; a numerically singular
-    factorization returns 0.0 (which is exactly the signal sought).
+    Entries are evaluated by RatFun.__call__ with its default pole_tol, and
+    its PoleError propagates; a numerically singular factorization returns
+    0.0 (which is exactly the signal sought).
     """
     n = len(grid)
     if any(len(row) != n for row in grid):
         raise ValueError("matrix must be square")
-    pivots = _lu_pivots([[v(x, pole_tol=pole_tol) for v in row] for row in grid])
+    pivots = _lu_pivots([[v(x) for v in row] for row in grid])
     return 0.0 if pivots is None else math.prod(pivots, start=1.0)
 
 
@@ -154,18 +155,14 @@ def _float_matrix(m: RfMatrix) -> list[list[float]]:
 
 
 _EIG_TOL = 1e-12
+_EXCLUSION_GAP = 1e-6
 _LOG_CAP = 700.0  # exp(700) < the largest double: capped residuals stay finite and fail
 
 
-def verify_spectrum(
-    m: RfMatrix,
-    s: Iterable[str],
-    tol: float = 1e-6,
-    exclusion_gap: float = 1e-6,
-) -> SpectrumReport:
+def verify_spectrum(m: RfMatrix, s: Iterable[str], tol: float = 1e-6) -> SpectrumReport:
     """Certify that reducing m over s preserves the spectrum.
 
-    Eigenvalues of m that fall within exclusion_gap of the removed block's
+    Eigenvalues of m that fall within _EXCLUSION_GAP of the removed block's
     spectrum sit on poles of the reduced entries and are excluded from the
     check; there the residual is meaningless and recorded as NaN.
 
@@ -201,7 +198,7 @@ def verify_spectrum(
     checks: list[EigenCheck] = []
     passed = True
     for lam in eig_full:
-        if eig_removed and min(abs(lam - mu) for mu in eig_removed) < exclusion_gap:
+        if eig_removed and min(abs(lam - mu) for mu in eig_removed) < _EXCLUSION_GAP:
             checks.append(EigenCheck(lam, True, math.nan))
             continue
         vals = [
@@ -217,7 +214,7 @@ def verify_spectrum(
             log_residual = (
                 sum(math.log(abs(p)) for p in pivots)
                 + sum(math.log(abs(mu - lam)) for mu in eig_removed)
-                - sum(math.log(abs(e - lam)) for e in eig_full if abs(e - lam) > exclusion_gap)
+                - sum(math.log(abs(e - lam)) for e in eig_full if abs(e - lam) > _EXCLUSION_GAP)
             )
             residual = math.exp(min(log_residual, _LOG_CAP))
         if not residual < tol:
@@ -229,6 +226,6 @@ def verify_spectrum(
         eigenvalues_removed_block=tuple(eig_removed),
         checks=tuple(checks),
         tolerance=tol,
-        exclusion_gap=exclusion_gap,
+        exclusion_gap=_EXCLUSION_GAP,
         passed=passed,
     )

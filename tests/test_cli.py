@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +189,21 @@ def test_reproduce_bundled(capsys):
     assert cli.main(["reproduce"]) == 0
     out = capsys.readouterr().out
     assert "all sections match the checked-in expectations" in out
+
+
+def test_reproduce_as_module_child_process(tmp_path):
+    # The __main__ -> entrypoint -> sys.exit path, run as the benchmark runs it.
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "isoreduce.cli", "reproduce"],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "all sections match the checked-in expectations" in proc.stdout
 
 
 def test_deterministic_output(tmp_path):

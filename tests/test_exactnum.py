@@ -197,24 +197,29 @@ ratfuns = st.builds(RatFun, polys, nonzero_polys)
 nonzero_ratfuns = ratfuns.filter(lambda f: not f.is_zero)
 
 
+def _to_sympy(p):
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    return sympy.Poly(coeffs, sympy.Symbol("x"), domain="QQ")
+
+
+def _from_sympy(p):
+    return Polynomial(Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs()))
+
+
 @settings(max_examples=300)
 @given(polys, nonzero_polys)
 def test_divmod_reconstruction(a, b):
     q, r = divmod(a, b)
     assert b * q + r == a
     assert r.degree < b.degree
+    # the independent oracle: sympy's division over QQ
+    sq, sr = sympy.div(_to_sympy(a), _to_sympy(b))
+    assert (q, r) == (_from_sympy(sq), _from_sympy(sr))
 
 
 def _sympy_monic_gcd(a, b):
     # the independent oracle: sympy's gcd over QQ is monic
-    x = sympy.Symbol("x")
-
-    def to_sympy(p):
-        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
-        return sympy.Poly(coeffs, x, domain="QQ")
-
-    g = sympy.gcd(to_sympy(a), to_sympy(b))
-    return Polynomial(Fraction(int(c.p), int(c.q)) for c in reversed(g.all_coeffs()))
+    return _from_sympy(sympy.gcd(_to_sympy(a), _to_sympy(b)))
 
 
 @settings(max_examples=300)
