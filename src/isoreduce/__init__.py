@@ -10,9 +10,8 @@ from .netmat import (
     parse_incidence_csv,
     project_cols,
     project_rows,
-    submatrix,
 )
-from .isored import ReductionResult, SingularMatrixError, invert_over_field, reduce, reduce_sequence
+from .isored import ReductionResult, SingularMatrixError, invert_over_field, reduce
 from .hierarchy import (
     HierarchyResult,
     TraceStep,
@@ -48,12 +47,10 @@ __all__ = [
     "parse_incidence_csv",
     "project_cols",
     "project_rows",
-    "submatrix",
     "ReductionResult",
     "SingularMatrixError",
     "invert_over_field",
     "reduce",
-    "reduce_sequence",
     "HierarchyResult",
     "TraceStep",
     "min_degree_rule",

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -20,7 +20,7 @@ from . import isored, netmat, spectra
 from .exactnum import ratfun_from_str, ratfun_to_str
 from .netmat import IncidenceData, IncidenceFormatError, RfMatrix
 
-__all__ = ["RunConfig", "UsageError", "parse_args", "run", "main", "entrypoint"]
+__all__ = ["UsageError", "parse_args", "main", "entrypoint"]
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -31,22 +31,6 @@ EXIT_USAGE = 64
 
 class UsageError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    input: str | None = None
-    output: str | None = None
-    rule: str = "min-degree"
-    mode: str = "bipartite"
-    keep: str | None = None
-    tolerance: float = 1e-6
-    year: int = 1936
-    groups: str | None = None
-    fmt: str = "json"
-    summary: str | None = None
-    restrict: str | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,6 +55,16 @@ def _add_common(p, with_mode=True):
         )
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, not {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="isoreduce", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", metavar="COMMAND")
@@ -80,9 +74,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--keep", required=True, help="file with one kept label per line")
     p.add_argument("--format", dest="fmt", choices=("json", "dot"), default="json")
 
-    p = sub.add_parser("hierarchy", help="sequential reduction under a selection rule")
+    p = sub.add_parser("hierarchy", help="sequential reduction under the min-degree rule")
     _add_common(p)
-    p.add_argument("--rule", choices=sorted(hier.RULES), default="min-degree")
     p.add_argument("--restrict", help="file of labels; restrict the hierarchy to them")
 
     p = sub.add_parser("project", help="single-mode projection of the incidence data")
@@ -97,7 +90,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="numeric spectrum-preservation check")
     _add_common(p)
     p.add_argument("--keep", required=True, help="file with one kept label per line")
-    p.add_argument("--tol", dest="tolerance", type=float, default=1e-6)
+    p.add_argument("--tol", dest="tolerance", type=_tolerance, default=1e-6)
 
     p = sub.add_parser("reproduce", help="recompute the bundled dataset's results and diff")
     _add_common(p, with_mode=False)
@@ -105,24 +98,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def parse_args(argv) -> RunConfig:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    if ns.subcommand is None:
+def parse_args(argv) -> argparse.Namespace:
+    cfg = _build_parser().parse_args(argv)
+    if cfg.subcommand is None:
         raise UsageError("a subcommand is required")
-    cfg = RunConfig(subcommand=ns.subcommand)
-    for name in vars(ns):
-        if hasattr(cfg, name):
-            setattr(cfg, name, getattr(ns, name))
-    if cfg.tolerance <= 0:
-        raise UsageError("--tol must be positive")
     return cfg
 
 
 # -- shared helpers ------------------------------------------------------------
 
 
-def _load_input(cfg: RunConfig) -> IncidenceData:
+def _load_input(cfg: argparse.Namespace) -> IncidenceData:
     if cfg.input is None:
         return netmat.parse_incidence_csv(
             _data_path("dgg.csv").read_text(encoding="utf-8"), year=cfg.year
@@ -204,7 +190,7 @@ def matrix_to_dot(m: RfMatrix, name: str = "network") -> str:
 # -- subcommands ---------------------------------------------------------------
 
 
-def _cmd_reduce(cfg: RunConfig) -> int:
+def _cmd_reduce(cfg: argparse.Namespace) -> int:
     data = _load_input(cfg)
     m = _build_matrix(data, cfg.mode)
     keep = _read_labels(cfg.keep)
@@ -216,31 +202,44 @@ def _cmd_reduce(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_hierarchy(cfg: RunConfig) -> int:
+def _cmd_hierarchy(cfg: argparse.Namespace) -> int:
     data = _load_input(cfg)
     m = _build_matrix(data, cfg.mode)
-    result = hier.sequential_reduce(m, hier.RULES[cfg.rule])
+    result = hier.sequential_reduce(m)
     if cfg.restrict:
         result = hier.restrict_hierarchy(result, _read_labels(cfg.restrict))
     _emit(_json_text(result.to_json_dict()), cfg.output)
     return EXIT_OK
 
 
-def _cmd_project(cfg: RunConfig) -> int:
+def _cmd_project(cfg: argparse.Namespace) -> int:
     data = _load_input(cfg)
     m = _build_matrix(data, cfg.mode)
     _emit(matrix_to_csv(m), cfg.output)
     return EXIT_OK
 
 
-def _load_groups(cfg: RunConfig) -> dict:
-    if cfg.groups is None:
+def _names_to_label_lists(obj) -> bool:
+    return isinstance(obj, dict) and all(
+        isinstance(labels, list) and all(isinstance(lab, str) for lab in labels)
+        for labels in obj.values()
+    )
+
+
+def _load_groups(path: str | None) -> dict:
+    if path is None:
         text = _data_path("dgg_groups.json").read_text(encoding="utf-8")
     else:
-        text = Path(cfg.groups).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     spec = json.loads(text)
-    if "groups" not in spec or "event_classes" not in spec:
-        raise ValueError("group file needs 'groups' and 'event_classes' objects")
+    if not (
+        isinstance(spec, dict)
+        and _names_to_label_lists(spec.get("groups"))
+        and _names_to_label_lists(spec.get("event_classes"))
+    ):
+        raise ValueError(
+            "group file needs 'groups' and 'event_classes' objects mapping names to label lists"
+        )
     return spec
 
 
@@ -254,11 +253,11 @@ def _series_json(series: dyn.AttendanceSeries) -> dict:
     return out
 
 
-def _cmd_dynamics(cfg: RunConfig) -> int:
+def _cmd_dynamics(cfg: argparse.Namespace) -> int:
     data = _load_input(cfg)
     if data.dates is None:
         raise ValueError("dynamics requires an incidence file with a date row")
-    spec = _load_groups(cfg)
+    spec = _load_groups(cfg.groups)
     lines = ["group,event_class,event,date,count"]
     summary: dict[str, dict] = {}
     for gname, members in spec["groups"].items():
@@ -274,7 +273,7 @@ def _cmd_dynamics(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
+def _cmd_verify(cfg: argparse.Namespace) -> int:
     data = _load_input(cfg)
     m = _build_matrix(data, cfg.mode)
     keep = _read_labels(cfg.keep)
@@ -360,9 +359,9 @@ def _diff(expected, got, path="") -> list[str]:
     return []
 
 
-def _cmd_reproduce(cfg: RunConfig) -> int:
+def _cmd_reproduce(cfg: argparse.Namespace) -> int:
     data = _load_input(cfg)
-    bundle = compute_bundle(data, _load_groups(cfg))
+    bundle = compute_bundle(data, _load_groups(None))
     expected = json.loads(_data_path("expected_dgg.json").read_text(encoding="utf-8"))
     if cfg.output:
         Path(cfg.output).write_text(_json_text(bundle), encoding="utf-8")
@@ -389,10 +388,6 @@ _COMMANDS = {
 }
 
 
-def run(cfg: RunConfig) -> int:
-    return _COMMANDS[cfg.subcommand](cfg)
-
-
 def main(argv=None) -> int:
     try:
         cfg = parse_args(argv)
@@ -400,7 +395,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return run(cfg)
+        return _COMMANDS[cfg.subcommand](cfg)
     except IncidenceFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -200,12 +200,6 @@ class Polynomial:
             acc = acc * x + float(c)
         return acc
 
-    def eval_exact(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
-
     def __repr__(self):
         return f"Polynomial({[str(c) for c in self._coeffs]})"
 
@@ -467,12 +461,6 @@ class RatFun:
         if abs(dv) <= pole_tol:
             raise PoleError(x)
         return self._num(x) / dv
-
-    def eval_exact(self, x: Fraction) -> Fraction:
-        dv = self._den.eval_exact(x)
-        if dv == 0:
-            raise PoleError(float(x))
-        return self._num.eval_exact(x) / dv
 
     def __repr__(self):
         return f"RatFun({ratfun_to_str(self)!r})"

@@ -22,7 +22,6 @@ __all__ = [
     "min_degree_rule",
     "sequential_reduce",
     "restrict_hierarchy",
-    "RULES",
 ]
 
 SelectionRule = Callable[[RfMatrix], frozenset]
@@ -48,9 +47,6 @@ def min_degree_rule(m: RfMatrix) -> frozenset:
     degrees = {lab: row_degree(m, lab) for lab in m.labels}
     lowest = min(degrees.values())
     return frozenset(lab for lab, d in degrees.items() if d > lowest)
-
-
-RULES: dict[str, SelectionRule] = {"min-degree": min_degree_rule}
 
 
 @dataclass(frozen=True)

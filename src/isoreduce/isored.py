@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 from .exactnum import RatFun, ratfun_to_str
 from .netmat import RfMatrix
 
-__all__ = ["SingularMatrixError", "ReductionResult", "invert_over_field", "reduce", "reduce_sequence"]
+__all__ = ["SingularMatrixError", "ReductionResult", "invert_over_field", "reduce"]
 
 
 class SingularMatrixError(ArithmeticError):
@@ -126,17 +126,3 @@ def reduce(m: RfMatrix, s: Iterable[str]) -> ReductionResult:
     ki = [m.index(lab) for lab in kept]
     return ReductionResult(RfMatrix(kept, [[e[i][j] for j in ki] for i in ki]), tuple(removed))
 
-
-def reduce_sequence(m: RfMatrix, keep_sets: Sequence[Iterable[str]]) -> list[ReductionResult]:
-    """Apply reduce repeatedly, each keep set against the previous result.
-
-    Returns one result per keep set; the unreduced input plays the role of
-    stage zero and is not repeated in the output.
-    """
-    results: list[ReductionResult] = []
-    current = m
-    for keep in keep_sets:
-        step = reduce(current, keep)
-        results.append(step)
-        current = step.reduced
-    return results

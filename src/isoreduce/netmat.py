@@ -11,7 +11,7 @@ import datetime
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .exactnum import RatFun
 
@@ -23,7 +23,6 @@ __all__ = [
     "project_rows",
     "project_cols",
     "mode_convert",
-    "submatrix",
     "parse_incidence_csv",
     "load_incidence",
     "incidence_to_csv",
@@ -272,27 +271,6 @@ def mode_convert(
         labels = tuple(f"M{i}_{k + 1}" for k in range(rows))
     # A_ji = A_ij^T was checked above, so A_ij A_ji is the Gram matrix of A_ij's rows.
     return _gram(labels, a_ij)
-
-
-def _resolve(m: RfMatrix, labels: Iterable[str], what: str) -> list[int]:
-    seen = set()
-    out = []
-    for lab in labels:
-        idx = m.index(lab)
-        if lab not in seen:
-            seen.add(lab)
-            out.append(idx)
-    if not out:
-        raise ValueError(f"{what} selection must not be empty")
-    out.sort()
-    return out
-
-
-def submatrix(m: RfMatrix, rows: Iterable[str], cols: Iterable[str]) -> list[list[RatFun]]:
-    """Submatrix with the given row/column node sets, in m's label order."""
-    ri = _resolve(m, rows, "row")
-    ci = _resolve(m, cols, "column")
-    return [[m.entries[r][c] for c in ci] for r in ri]
 
 
 # -- incidence CSV -------------------------------------------------------------

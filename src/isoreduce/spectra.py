@@ -19,23 +19,21 @@ from .netmat import RfMatrix
 
 __all__ = ["ConvergenceError", "EigenCheck", "SpectrumReport", "sym_eigenvalues", "eval_det", "verify_spectrum"]
 
-_DEFAULT_SWEEP_CAP = 100
+_EIG_TOL = 1e-12
+_SWEEP_CAP = 100
 
 
 class ConvergenceError(RuntimeError):
     """The Jacobi sweep cap was hit before the off-diagonal norm dropped."""
 
 
-def sym_eigenvalues(
-    matrix: Sequence[Sequence[float]],
-    tol: float = 1e-10,
-    sweep_cap: int = _DEFAULT_SWEEP_CAP,
-) -> list[float]:
+def sym_eigenvalues(matrix: Sequence[Sequence[float]]) -> list[float]:
     """All eigenvalues of a real symmetric matrix, ascending.
 
     Cyclic Jacobi rotations run until the off-diagonal Frobenius norm falls
-    below tol, which bounds each eigenvalue's error by tol. The input must
-    be symmetric within tol.
+    below _EIG_TOL, which bounds each eigenvalue's error by _EIG_TOL. The
+    input must be symmetric within _EIG_TOL. Raises ConvergenceError after
+    _SWEEP_CAP sweeps.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -43,17 +41,17 @@ def sym_eigenvalues(
     a = [[float(v) for v in row] for row in matrix]
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(a[i][j] - a[j][i]) > tol:
+            if abs(a[i][j] - a[j][i]) > _EIG_TOL:
                 raise ValueError(f"matrix is not symmetric at ({i}, {j})")
             mean = 0.5 * (a[i][j] + a[j][i])
             a[i][j] = a[j][i] = mean
     if n <= 1:
         return [a[0][0]] if n else []
 
-    skip = tol / (10.0 * n)
-    for _ in range(sweep_cap):
+    skip = _EIG_TOL / (10.0 * n)
+    for _ in range(_SWEEP_CAP):
         off = math.sqrt(2.0 * sum(a[i][j] ** 2 for i in range(n) for j in range(i + 1, n)))
-        if off <= tol:
+        if off <= _EIG_TOL:
             return sorted(a[i][i] for i in range(n))
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -77,7 +75,7 @@ def sym_eigenvalues(
                     a[k][p] = c * akp - s * akq
                     a[k][q] = s * akp + c * akq
                 a[p][q] = a[q][p] = 0.0
-    raise ConvergenceError(f"Jacobi did not converge within {sweep_cap} sweeps")
+    raise ConvergenceError(f"Jacobi did not converge within {_SWEEP_CAP} sweeps")
 
 
 def _lu_pivots(a: list[list[float]]) -> list[float] | None:
@@ -154,7 +152,6 @@ def _float_matrix(m: RfMatrix) -> list[list[float]]:
     return [[float(v.as_fraction()) for v in row] for row in m.entries]
 
 
-_EIG_TOL = 1e-12
 _EXCLUSION_GAP = 1e-6
 _LOG_CAP = 700.0  # exp(700) < the largest double: capped residuals stay finite and fail
 
@@ -190,8 +187,8 @@ def verify_spectrum(m: RfMatrix, s: Iterable[str], tol: float = 1e-6) -> Spectru
     ri = [m.index(lab) for lab in removed]
     block = [[full[a][b] for b in ri] for a in ri]
 
-    eig_full = sym_eigenvalues(full, tol=_EIG_TOL)
-    eig_removed = sym_eigenvalues(block, tol=_EIG_TOL)
+    eig_full = sym_eigenvalues(full)
+    eig_removed = sym_eigenvalues(block)
 
     reduced = isored.reduce(m, wanted).reduced
     n = len(reduced)

@@ -28,10 +28,10 @@ def test_bundled_dataset_checksum():
 
 
 def test_parse_hierarchy_defaults():
-    cfg = parse_args(["hierarchy", "--input", "dgg.csv", "--mode", "bipartite"])
+    cfg = parse_args(["hierarchy", "--input", "dgg.csv"])
     assert cfg.subcommand == "hierarchy"
-    assert cfg.rule == "min-degree"
-    assert cfg.tolerance == 1e-6
+    assert cfg.mode == "bipartite"
+    assert cfg.restrict is None
     assert cfg.year == 1936
 
 
@@ -54,6 +54,8 @@ def test_parse_project():
         ["hierarchy", "--mode", "sideways"],
         ["reduce"],  # --keep is required
         ["verify", "--keep", "k.txt", "--tol", "-1"],
+        ["verify", "--keep", "k.txt", "--tol", "nan"],
+        ["verify", "--keep", "k.txt", "--tol", "inf"],
     ],
 )
 def test_usage_errors_exit_64(argv, capsys):
@@ -147,7 +149,7 @@ def test_computation_failures_exit_3(tmp_path, monkeypatch, capsys):
     def singular(m, s):
         raise isored.SingularMatrixError("pivot of 'W_2' vanishes over the function field")
 
-    def no_convergence(m, tol=None):
+    def no_convergence(m):
         raise spectra.ConvergenceError("Jacobi iteration did not converge")
 
     monkeypatch.setattr(isored, "reduce", singular)
@@ -171,6 +173,21 @@ def test_dynamics_outputs(tmp_path):
     summary = json.loads(summary_out.read_text())
     assert summary["G1/joint_events"]["mean"] == "11/2"
     assert summary["G2/joint_events"]["sample_variance"] == "25/4"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"groups": 5, "event_classes": {}}',
+        '{"groups": {"a": ["W_1"]}, "event_classes": {"c": 7}}',
+        '"groups and event_classes"',
+    ],
+)
+def test_malformed_group_file_exit_1(tmp_path, capsys, text):
+    groups = tmp_path / "groups.json"
+    groups.write_text(text)
+    assert cli.main(["dynamics", "--groups", str(groups)]) == 1
+    assert "error: group file needs" in capsys.readouterr().err
 
 
 def test_malformed_csv_exit_1(tmp_path, capsys):

@@ -2,12 +2,17 @@ import json
 import random
 
 import pytest
+from sympy import Rational, symbols
+from sympy.polys.domains import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from isoreduce.exactnum import Polynomial, RatFun, ratfun_from_str
-from isoreduce.isored import SingularMatrixError, invert_over_field, reduce, reduce_sequence
+from isoreduce.isored import SingularMatrixError, invert_over_field, reduce
 from isoreduce.netmat import RfMatrix
 
 X = RatFun.X
+SX = symbols("x")
+FIELD = QQ.frac_field(SX)
 
 
 def P(*ascending):
@@ -137,15 +142,23 @@ def test_reduce_singular_shifted_block():
             reduce(m, keep)
 
 
+def _to_field(v):
+    """A RatFun as an element of sympy's QQ(x), read from its coefficients only."""
+    num, den = (
+        sum(Rational(c.numerator, c.denominator) * SX**k for k, c in enumerate(p.coeffs))
+        for p in (v.num, v.den)
+    )
+    return FIELD.from_sympy(num / den)
+
+
 def _block_formula(m, keep):
+    # the independent oracle: M_SS - M_SS̄ (M_S̄S̄ - x I)^(-1) M_S̄S in sympy's QQ(x)
     ki = [m.index(lab) for lab in keep]
     ri = [i for i in range(len(m)) if i not in ki]
-    e = m.entries
-    shifted = [[e[a][b] - (X if a == b else 0) for b in ri] for a in ri]
-    m_sr = [[e[a][b] for b in ri] for a in ki]
-    m_rs = [[e[a][b] for b in ki] for a in ri]
-    correction = _matmul(_matmul(m_sr, invert_over_field(shifted)), m_rs)
-    return [[e[a][b] - correction[i][j] for j, b in enumerate(ki)] for i, a in enumerate(ki)]
+    mat = DomainMatrix([[_to_field(v) for v in row] for row in m.entries], (len(m), len(m)), FIELD)
+    shifted = mat.extract(ri, ri) - DomainMatrix.eye(len(ri), FIELD) * FIELD.convert(SX)
+    reduced = mat.extract(ki, ki) - mat.extract(ki, ri) * shifted.inv() * mat.extract(ri, ki)
+    return reduced.to_list()
 
 
 def test_reduce_matches_block_formula_on_directed_and_rational_matrices():
@@ -161,31 +174,22 @@ def test_reduce_matches_block_formula_on_directed_and_rational_matrices():
             keep = tuple(sorted(rng.sample(mat.labels, rng.randint(1, len(mat) - 1)), key=mat.index))
             out = reduce(mat, keep).reduced
             assert out.labels == keep
-            assert [list(row) for row in out.entries] == _block_formula(mat, keep)
+            assert [[_to_field(v) for v in row] for row in out.entries] == _block_formula(mat, keep)
 
 
 # -- sequences ---------------------------------------------------------------------
 
 
-def test_reduce_sequence_empty():
-    assert reduce_sequence(path3(), []) == []
-
-
 def test_reduce_sequence_path_two_steps():
-    steps = reduce_sequence(path3(), [("1", "3"), ("1",)])
-    assert len(steps) == 2
+    final = path3()
+    for keep in [("1", "3"), ("1",)]:
+        final = reduce(final, keep).reduced
     w = RatFun(1, Polynomial.X)
     expected = w + w * (RatFun(Polynomial.X, P(-1, 0, 1))) * w
-    final = steps[1].reduced
     assert final.labels == ("1",)
     assert final.entries[0][0] == expected
     # same thing in one shot: sequential reduction is unique
     assert final == reduce(path3(), ("1",)).reduced
-
-
-def test_sequence_validates_against_previous_stage():
-    with pytest.raises(ValueError):
-        reduce_sequence(path3(), [("1", "3"), ("2",)])
 
 
 # -- structural properties ----------------------------------------------------------
@@ -243,8 +247,10 @@ def test_dgg_core_membership(dgg_matrix, dgg_hierarchy):
     for level in reversed(dgg_hierarchy.levels):
         labels -= set(level)
         keeps.append(tuple(sorted(labels)))
-    steps = reduce_sequence(dgg_matrix, keeps)
-    assert steps[-1].reduced.labels == (
+    m = dgg_matrix
+    for keep in keeps:
+        m = reduce(m, keep).reduced
+    assert m.labels == (
         "W_1", "W_2", "W_3", "W_4", "E_3", "E_5", "E_6", "E_7", "E_8",
     )
 

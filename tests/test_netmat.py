@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from isoreduce.exactnum import RatFun
 from isoreduce.netmat import (
     IncidenceData,
     IncidenceFormatError,
@@ -14,7 +13,6 @@ from isoreduce.netmat import (
     parse_incidence_csv,
     project_cols,
     project_rows,
-    submatrix,
 )
 
 
@@ -181,30 +179,6 @@ def test_mode_convert_rejects_bad_blocks():
         mode_convert([[None, [[1]]], [[[1], [1]], None]], 1, 2)  # inconsistent shapes
     with pytest.raises(ValueError):
         mode_convert([[None, [[1]]], [[[1]], None]], 1, 1)  # same mode twice
-
-
-# -- submatrix ---------------------------------------------------------------------
-
-
-def test_submatrix_full_sets_is_identity_view():
-    m = RfMatrix(("a", "b"), [[0, 1], [1, 0]])
-    assert submatrix(m, ("a", "b"), ("a", "b")) == [list(r) for r in m.entries]
-
-
-def test_submatrix_single_cell():
-    m = RfMatrix(("a", "b"), [[0, 1], [1, 0]])
-    assert submatrix(m, ("a",), ("b",)) == [[RatFun.ONE]]
-
-
-def test_submatrix_dgg_row(dgg):
-    m = bipartite_adjacency(dgg)
-    assert submatrix(m, ("W_8",), ("E_6", "E_8", "E_9")) == [[RatFun.ONE] * 3]
-
-
-def test_submatrix_unknown_label():
-    m = RfMatrix(("a",), [[0]])
-    with pytest.raises(ValueError):
-        submatrix(m, ("zz",), ("a",))
 
 
 # -- CSV ---------------------------------------------------------------------------

@@ -92,7 +92,7 @@ def test_exchange_matrix():
 
 def test_path3_eigenvalues():
     # characteristic polynomial of the path is t^3 - 2t, roots 0 and +-sqrt(2)
-    vals = sym_eigenvalues([[0, 1, 0], [1, 0, 1], [0, 1, 0]], tol=1e-12)
+    vals = sym_eigenvalues([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
     assert vals == pytest.approx([-math.sqrt(2), 0.0, math.sqrt(2)], abs=1e-10)
 
 
@@ -101,11 +101,12 @@ def test_rejects_asymmetric():
         sym_eigenvalues([[0.0, 1.0], [0.0, 0.0]])
 
 
-def test_sweep_cap_raises():
-    from isoreduce.spectra import ConvergenceError
+def test_sweep_cap_raises(monkeypatch):
+    from isoreduce import spectra
 
-    with pytest.raises(ConvergenceError):
-        sym_eigenvalues([[0.0, 1.0], [1.0, 0.0]], sweep_cap=0)
+    monkeypatch.setattr(spectra, "_SWEEP_CAP", 0)
+    with pytest.raises(spectra.ConvergenceError):
+        sym_eigenvalues([[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_jacobi_against_charpoly_roots():
@@ -116,7 +117,7 @@ def test_jacobi_against_charpoly_roots():
         for i in range(n):
             for j in range(i, n):
                 m[i][j] = m[j][i] = rng.randint(-3, 3)
-        got = sym_eigenvalues(m, tol=1e-12)
+        got = sym_eigenvalues(m)
         coeffs = _charpoly_int(m)
         roots = sorted(np.roots(list(reversed(coeffs))).real)
         assert got == pytest.approx(roots, abs=1e-8)
