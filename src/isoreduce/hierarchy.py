@@ -136,11 +136,16 @@ def restrict_hierarchy(h: HierarchyResult, subset: Iterable[str]) -> HierarchyRe
     """Intersect the core and every level with subset, dropping empty levels.
 
     Relative level order is preserved, and nodes that shared a level still
-    do. The trace is filtered to the surviving labels.
+    do. The trace is filtered to the surviving labels. Raises ValueError
+    when subset is empty or names a label outside the hierarchy.
     """
     keep = set(subset)
     if not keep:
         raise ValueError("restriction subset must not be empty")
+    unknown = keep.difference(h.all_labels)
+    if unknown:
+        names = ", ".join(repr(lab) for lab in sorted(unknown))
+        raise ValueError(f"unknown node label in the restriction: {names}")
     core = tuple(lab for lab in h.core if lab in keep)
     levels = tuple(
         filtered

@@ -19,6 +19,12 @@ never vanishes while every entry stays bounded as x -> oo (numerator degree
 at most denominator degree): constant matrices meet that, and each removal
 keeps it, since the subtracted term tends to zero. A vanishing pivot raises
 SingularMatrixError and is never pivoted around.
+
+Every network the paper reduces is undirected, and a Schur complement of a
+symmetric matrix is symmetric. For a symmetric input each removal computes
+only the upper triangle (i <= j) and mirrors it into the lower one, sharing
+the immutable RatFun, which about halves the exact arithmetic. Directed
+inputs update every entry.
 """
 
 from __future__ import annotations
@@ -93,10 +99,12 @@ def reduce(m: RfMatrix, s: Iterable[str]) -> ReductionResult:
 
     The removed nodes go one at a time, in label order: removing r sets
     e_ij <- e_ij - e_ir e_rj / (e_rr - x) on the surviving entries, skipping
-    rows with e_ir = 0 and columns with e_rj = 0. By the quotient formula
-    this equals M_SS - M_SS̄ (M_S̄S̄ - x I)^(-1) M_S̄S. Raises
-    SingularMatrixError when a pivot e_rr - x is zero, which cannot happen
-    while every entry has numerator degree at most its denominator degree.
+    rows with e_ir = 0 and columns with e_rj = 0. When m is symmetric only
+    the entries with i <= j are computed and e_ji is set to e_ij; a directed
+    m takes the full update. By the quotient formula this equals
+    M_SS - M_SS̄ (M_S̄S̄ - x I)^(-1) M_S̄S. Raises SingularMatrixError when a
+    pivot e_rr - x is zero, which cannot happen while every entry has
+    numerator degree at most its denominator degree.
     """
     wanted = set(s)
     if not wanted:
@@ -108,6 +116,7 @@ def reduce(m: RfMatrix, s: Iterable[str]) -> ReductionResult:
     if not removed:
         return ReductionResult(m, ())
 
+    sym = m.is_symmetric()
     e = [list(row) for row in m.entries]
     alive = list(range(len(m)))
     for lab in removed:
@@ -121,8 +130,12 @@ def reduce(m: RfMatrix, s: Iterable[str]) -> ReductionResult:
             if e[r][j].is_zero:
                 continue
             f = e[r][j] / pivot
-            for i in rows:
+            for i in rows:  # ascending, so the upper triangle ends at the first i > j
+                if sym and i > j:
+                    break
                 e[i][j] = e[i][j] - e[i][r] * f
+                if sym:
+                    e[j][i] = e[i][j]
     ki = [m.index(lab) for lab in kept]
     return ReductionResult(RfMatrix(kept, [[e[i][j] for j in ki] for i in ki]), tuple(removed))
 

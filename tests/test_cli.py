@@ -84,6 +84,15 @@ def test_hierarchy_restrict(tmp_path):
     assert doc["levels"][-1]["members"] == ["W_14"]
 
 
+def test_hierarchy_restrict_unknown_label_exit_1(tmp_path, capsys):
+    members = tmp_path / "typo.txt"
+    members.write_text("zz\n")
+    out = tmp_path / "h.json"
+    assert cli.main(["hierarchy", "--restrict", str(members), "--output", str(out)]) == 1
+    assert "error: unknown node label in the restriction: 'zz'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_project_round_trip(tmp_path, dgg):
     out = tmp_path / "w2w.csv"
     assert cli.main(["project", "--mode", "rows", "--output", str(out)]) == 0

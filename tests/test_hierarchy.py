@@ -191,6 +191,11 @@ def test_restrict_empty_subset():
         restrict_hierarchy(h, ())
 
 
+def test_restrict_unknown_label(dgg_hierarchy):
+    with pytest.raises(ValueError, match="unknown node label in the restriction: 'zz'"):
+        restrict_hierarchy(dgg_hierarchy, ("W_1", "zz"))
+
+
 # -- serialization -------------------------------------------------------------------
 
 

@@ -161,6 +161,16 @@ def _block_formula(m, keep):
     return reduced.to_list()
 
 
+def _assert_matches_block_formula(rng, m):
+    # a first reduction turns the constant entries into rational functions
+    rational = reduce(m, rng.sample(m.labels, rng.randint(2, len(m) - 1))).reduced
+    for mat in (m, rational):
+        keep = tuple(sorted(rng.sample(mat.labels, rng.randint(1, len(mat) - 1)), key=mat.index))
+        out = reduce(mat, keep).reduced
+        assert out.labels == keep
+        assert [[_to_field(v) for v in row] for row in out.entries] == _block_formula(mat, keep)
+
+
 def test_reduce_matches_block_formula_on_directed_and_rational_matrices():
     rng = random.Random(19)
     values = (-2, -1, 0, 0, 1, 3)
@@ -168,13 +178,16 @@ def test_reduce_matches_block_formula_on_directed_and_rational_matrices():
         n = rng.randint(3, 6)
         labels = tuple(str(i) for i in range(n))
         m = RfMatrix(labels, [[rng.choice(values) for _ in range(n)] for _ in range(n)])
-        # a first reduction turns the constant entries into rational functions
-        rational = reduce(m, rng.sample(labels, rng.randint(2, n - 1))).reduced
-        for mat in (m, rational):
-            keep = tuple(sorted(rng.sample(mat.labels, rng.randint(1, len(mat) - 1)), key=mat.index))
-            out = reduce(mat, keep).reduced
-            assert out.labels == keep
-            assert [[_to_field(v) for v in row] for row in out.entries] == _block_formula(mat, keep)
+        _assert_matches_block_formula(rng, m)
+
+
+def test_reduce_matches_block_formula_on_symmetric_and_rational_matrices():
+    # symmetric inputs take the upper-triangle update with mirrored entries;
+    # the oracle reads the whole matrix, so a stale or missing mirror shows
+    rng = random.Random(23)
+    for _ in range(20):
+        m = random_symmetric(rng, rng.randint(3, 7), values=(-2, -1, 0, 0, 1, 3))
+        _assert_matches_block_formula(rng, m)
 
 
 # -- sequences ---------------------------------------------------------------------
