@@ -158,6 +158,8 @@ def matrix_from_csv(text: str) -> RfMatrix:
     if not rows or rows[0][0].strip() != "name":
         raise ValueError("matrix CSV must start with a 'name' header")
     labels = [c.strip() for c in rows[0][1:]]
+    if [cells[0].strip() for cells in rows[1:]] != labels:
+        raise ValueError("matrix CSV rows must be labelled like the header, in its order")
     grid = []
     for cells in rows[1:]:
         if len(cells) != len(labels) + 1:
@@ -166,11 +168,11 @@ def matrix_from_csv(text: str) -> RfMatrix:
     return RfMatrix(labels, grid)
 
 
-def matrix_to_dot(m: RfMatrix, name: str = "network") -> str:
-    """DOT text with exact edge weights; self-loops included."""
+def matrix_to_dot(m: RfMatrix) -> str:
+    """DOT text, graph name ``reduced``, with exact edge weights; self-loops included."""
     symmetric = m.is_symmetric()
     kind, arrow = ("graph", "--") if symmetric else ("digraph", "->")
-    lines = [f"{kind} {name} {{"]
+    lines = [f"{kind} reduced {{"]
     for label in m.labels:
         lines.append(f'  "{label}";')
     n = len(m.labels)
@@ -196,7 +198,7 @@ def _cmd_reduce(cfg: argparse.Namespace) -> int:
     keep = _read_labels(cfg.keep)
     result = isored.reduce(m, keep)
     if cfg.fmt == "dot":
-        _emit(matrix_to_dot(result.reduced, name="reduced"), cfg.output)
+        _emit(matrix_to_dot(result.reduced), cfg.output)
     else:
         _emit(_json_text(result.to_json_dict()), cfg.output)
     return EXIT_OK

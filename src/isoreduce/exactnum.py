@@ -4,7 +4,8 @@ functions in one indeterminate.
 The indeterminate is rendered as ``x`` in all text forms. Every value is
 immutable and canonical from the moment it is constructed:
 
-* a polynomial stores dense, ascending coefficients with no trailing zeros;
+* a polynomial stores a rational content times a primitive integer part
+  (dense, ascending, no trailing zero, gcd 1, positive leading entry);
 * a rational function is fully reduced (numerator and denominator are
   coprime) and its denominator is monic.
 
@@ -41,94 +42,97 @@ class PoleError(ArithmeticError):
         self.x = x
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"exact coefficient required, got {type(value).__name__}")
-
-
 class Polynomial:
-    """Dense univariate polynomial with Fraction coefficients.
+    """Dense univariate polynomial over Q, stored as content * primitive part.
 
-    Coefficients are stored ascending: coeffs[i] multiplies x**i. The zero
-    polynomial has an empty coefficient tuple and degree -inf.
+    The content ``_c`` is a Fraction; ``_prim[i]`` is the int multiplying
+    x**i, with no trailing zero, gcd 1 and a positive leading entry. Only
+    the zero polynomial has content 0; its ``_prim`` is () and its degree -inf.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_c", "_prim")
 
     ZERO: "Polynomial"
     ONE: "Polynomial"
     X: "Polynomial"
 
-    def __init__(self, coeffs=()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "_coeffs", tuple(cs))
+    def __new__(cls, coeffs=()):
+        cs = list(coeffs)
+        for c in cs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"exact coefficient required, got {type(c).__name__}")
+        # a list: *generator builds a resized tuple, which piles up on CPython's free lists
+        d = math.lcm(*[c.denominator for c in cs])
+        return _poly([c.numerator * (d // c.denominator) for c in cs], Fraction(1, d))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     @classmethod
     def constant(cls, value) -> "Polynomial":
-        return cls((_as_fraction(value),))
+        return cls((value,))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        c = self._c
+        return tuple([c * v for v in self._prim])
 
     @property
     def degree(self):
         """Degree of the polynomial; -inf for the zero polynomial."""
-        return len(self._coeffs) - 1 if self._coeffs else NEG_INF
+        return len(self._prim) - 1 if self._prim else NEG_INF
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._prim
 
     @property
     def leading(self) -> Fraction:
-        return self._coeffs[-1] if self._coeffs else Fraction(0)
+        return self._c * self._prim[-1] if self._prim else self._c
 
     def monic(self) -> "Polynomial":
         if self.is_zero:
             raise ValueError("the zero polynomial has no monic form")
-        lc = self._coeffs[-1]
-        if lc == 1:
+        if self.leading == 1:
             return self
-        return Polynomial(c / lc for c in self._coeffs)
+        return _poly(list(self._prim), Fraction(1, self._prim[-1]))
 
     # -- arithmetic ---------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._prim)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
-            return self._coeffs == other._coeffs
+            return self._prim == other._prim and self._c == other._c
         if isinstance(other, (int, Fraction)):
             return self == Polynomial.constant(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._coeffs)
+        return hash((self._c, self._prim))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self._coeffs)
+        return _poly(list(self._prim), -self._c)
 
     def __add__(self, other) -> "Polynomial":
         other = _coerce_poly(other)
         if other is None:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
+        if not other._prim:
+            return self
+        if not self._prim:
+            return other
+        a, b = self, other
+        if len(a._prim) < len(b._prim):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Polynomial(out)
+        # a + b = (c_a/v) * (v*A + u*B) with u/v = c_b/c_a in lowest terms
+        ratio = b._c / a._c
+        u, v = ratio.numerator, ratio.denominator
+        out = [c * v for c in a._prim]
+        for i, c in enumerate(b._prim):
+            out[i] += c * u
+        return _poly(out, a._c / v)
 
     __radd__ = __add__
 
@@ -146,31 +150,27 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            f = _as_fraction(other)
-            if f == 0:
-                return Polynomial.ZERO
-            return Polynomial(c * f for c in self._coeffs)
+            return _poly(list(self._prim), self._c * other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
+        a, b = self._prim, other._prim
         if not a or not b:
             return Polynomial.ZERO
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-        return Polynomial(out)
+            if ca:
+                for j, cb in enumerate(b):
+                    if cb:
+                        out[i + j] += ca * cb
+        return _poly(out, self._c * other._c)
 
     __rmul__ = __mul__
 
     def __divmod__(self, other) -> tuple["Polynomial", "Polynomial"]:
         """Quotient and remainder over Q: self = q*other + r with deg r < deg other.
 
-        Pseudo-division of the integer forms A = d_a*self and B = d_b*other
-        gives s*A = Q*B + R, so q = Q*d_b/(s*d_a) and r = R/(s*d_a) exactly.
+        Pseudo-division of the primitive parts A and B gives s*A = Q*B + R,
+        so q = Q*c_self/(s*c_other) and r = R*c_self/s exactly.
         """
         other = _coerce_poly(other)
         if other is None:
@@ -179,11 +179,9 @@ class Polynomial:
             raise ZeroDivisionError("polynomial division by zero")
         if self.degree < other.degree:
             return Polynomial.ZERO, self
-        a, d_a = _scaled_int(self)
-        b, d_b = _scaled_int(other)
-        q, r, s = _pseudo_divmod(a, b)
-        d = s * d_a
-        return Polynomial(Fraction(c * d_b, d) for c in q), Polynomial(Fraction(c, d) for c in r)
+        q, r, s = _pseudo_divmod(self._prim, other._prim)
+        scale = self._c / s
+        return _poly(q, scale / other._c), _poly(r, scale)
 
     def __floordiv__(self, other) -> "Polynomial":
         return divmod(self, other)[0]
@@ -194,20 +192,42 @@ class Polynomial:
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, x: float) -> float:
-        """Horner evaluation in double precision."""
+        """Horner evaluation in double precision; each coefficient n*v/d rounds once."""
+        n, d = self._c.numerator, self._c.denominator
         acc = 0.0
-        for c in reversed(self._coeffs):
-            acc = acc * x + float(c)
+        for v in reversed(self._prim):
+            acc = acc * x + n * v / d
         return acc
 
     def __repr__(self):
-        return f"Polynomial({[str(c) for c in self._coeffs]})"
+        return f"Polynomial({[str(c) for c in self.coeffs]})"
 
     def __str__(self):
         return poly_to_str(self)
 
 
-Polynomial.ZERO = Polynomial()
+def _poly(ints: list[int], scale: Fraction) -> Polynomial:
+    """The canonical polynomial scale * sum(ints[i] * x**i); consumes ints."""
+    while ints and ints[-1] == 0:
+        ints.pop()
+    if not ints or not scale:
+        return Polynomial.ZERO
+    g = math.gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    if g != 1:
+        ints = [v // g for v in ints]
+        scale = scale * g
+    p = object.__new__(Polynomial)
+    object.__setattr__(p, "_c", scale)
+    object.__setattr__(p, "_prim", tuple(ints))
+    return p
+
+
+# _poly returns this for every zero, so it is built by hand.
+Polynomial.ZERO = object.__new__(Polynomial)
+object.__setattr__(Polynomial.ZERO, "_c", Fraction(0))
+object.__setattr__(Polynomial.ZERO, "_prim", ())
 Polynomial.ONE = Polynomial((1,))
 Polynomial.X = Polynomial((0, 1))
 
@@ -223,23 +243,10 @@ def _coerce_poly(value):
 # -- integer division and gcd ------------------------------------------------
 
 
-def _primitive(ints: list[int]) -> list[int]:
-    """An integer list divided by its content; the empty list stays empty."""
-    content = math.gcd(*ints)
-    return [v // content for v in ints]
+def _pseudo_divmod(a, b) -> tuple[list[int], list[int], int]:
+    """Pseudo-division of integer sequences, b nonzero: s*a = q*b + r, deg r < deg b.
 
-
-def _scaled_int(p: Polynomial) -> tuple[list[int], int]:
-    """Integer coefficients of d*p, with d the lcm of p's denominators, and d."""
-    # a list: *generator builds a resized tuple, which piles up on CPython's free lists
-    d = math.lcm(*[c.denominator for c in p.coeffs])
-    return [c.numerator * (d // c.denominator) for c in p.coeffs], d
-
-
-def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int], int]:
-    """Pseudo-division of integer lists, b nonzero: s*a = q*b + r, deg r < deg b.
-
-    Returns q, r (no trailing zeros) and s = lc(b)**max(deg a - deg b + 1, 0).
+    Returns q, r (lists, no trailing zeros) and s = lc(b)**max(deg a - deg b + 1, 0).
     """
     lb = b[-1]
     r = list(a)
@@ -258,12 +265,12 @@ def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int], in
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor via the Euclidean remainder sequence.
 
-    The trivial cases are decided here, before any integer conversion:
-    gcd(0, 0) raises ValueError, a zero argument gives the other argument's
-    monic form, and a nonzero constant argument gives Polynomial.ONE.
-    Otherwise the remainders are rescaled to primitive integer form at each
-    step to keep coefficient growth in check; rescaling by a nonzero
-    rational does not change the gcd.
+    The trivial cases are decided first: gcd(0, 0) raises ValueError, a
+    zero argument gives the other argument's monic form, and a nonzero
+    constant argument gives Polynomial.ONE. Otherwise the loop pseudo-divides
+    the stored primitive parts and keeps only the primitive part of each
+    remainder, which holds coefficient growth in check; rescaling by a
+    nonzero rational does not change the gcd.
     """
     if a.is_zero:
         if b.is_zero:
@@ -273,10 +280,9 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return a.monic()
     if a.degree == 0 or b.degree == 0:
         return Polynomial.ONE
-    fa, fb = _primitive(_scaled_int(a)[0]), _primitive(_scaled_int(b)[0])
-    while fb:
-        fa, fb = fb, _primitive(_pseudo_divmod(fa, fb)[1])
-    return Polynomial(fa).monic()
+    while b:
+        a, b = b, _poly(_pseudo_divmod(a._prim, b._prim)[1], Fraction(1))
+    return a.monic()
 
 
 def _exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -335,9 +341,7 @@ class RatFun:
             return obj
         lc = den.leading
         if lc != 1:
-            inv = 1 / lc
-            num = num * inv
-            den = den * inv
+            num, den = num * (1 / lc), den.monic()
         object.__setattr__(obj, "_num", num)
         object.__setattr__(obj, "_den", den)
         return obj
@@ -365,7 +369,7 @@ class RatFun:
     def as_fraction(self) -> Fraction:
         if not self.is_constant:
             raise ValueError(f"{self} is not a constant")
-        return self._num.leading if self._num else Fraction(0)
+        return self._num.leading
 
     # -- field operations ---------------------------------------------------
 
@@ -512,8 +516,9 @@ def poly_to_str(p: Polynomial) -> str:
     if p.is_zero:
         return "0"
     parts: list[str] = []
-    for k in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[k]
+    cs = p.coeffs
+    for k in range(len(cs) - 1, -1, -1):
+        c = cs[k]
         if c == 0:
             continue
         if not parts:
@@ -558,18 +563,12 @@ def poly_from_str(text: str) -> Polynomial:
 
     def accumulate(term: str, s: int):
         c, k = _parse_term(term.strip())
-        coeffs[k] = coeffs.get(k, Fraction(0)) + s * c
+        coeffs[k] = coeffs.get(k, 0) + s * c
 
     accumulate(chunks[0], sign)
     for op, term in zip(chunks[1::2], chunks[2::2]):
         accumulate(term, 1 if op == "+" else -1)
-    if not coeffs:
-        return Polynomial.ZERO
-    size = max(coeffs) + 1
-    out = [Fraction(0)] * size
-    for k, c in coeffs.items():
-        out[k] = c
-    return Polynomial(out)
+    return Polynomial([coeffs.get(k, 0) for k in range(max(coeffs) + 1)])
 
 
 _RATFUN_RE = re.compile(r"^\((?P<num>[^()]+)\)/\((?P<den>[^()]+)\)$")

@@ -247,6 +247,10 @@ def test_matrix_csv_rejects_garbage():
         matrix_from_csv("nope,a\n")
     with pytest.raises(ValueError):
         matrix_from_csv("name,a\nb,1,2\n")
+    # rows swapped against the header, and rows the header does not name
+    for text in ("name,a,b\nb,1,0\na,0,2\n", "name,a,b\nzz,1,0\nqq,0,2\n"):
+        with pytest.raises(ValueError):
+            matrix_from_csv(text)
 
 
 def test_dot_directed_when_asymmetric():
@@ -254,7 +258,7 @@ def test_dot_directed_when_asymmetric():
 
     m = RfMatrix(("a", "b"), [[0, 1], [0, 0]])
     text = matrix_to_dot(m)
-    assert text.startswith("digraph")
+    assert text.startswith("digraph reduced {\n")
     assert '"a" -> "b"' in text
 
 

@@ -33,6 +33,20 @@ def test_canonical_storage_strips_trailing_zeros():
     assert P(5).degree == 0
 
 
+def test_float_inputs_rejected():
+    with pytest.raises(TypeError):
+        Polynomial([0.5])
+    with pytest.raises(TypeError):
+        RatFun.constant(0.5)
+
+
+def test_scalar_zero_is_canonical_zero():
+    p = P(1, Fraction(2, 3), -4)
+    for zero in (p * 0, p * Fraction(0), 0 * p):
+        assert zero == Polynomial.ZERO and zero.is_zero
+        assert hash(zero) == hash(Polynomial.ZERO)
+
+
 def test_add_additive_inverse():
     assert P(1, 1) + P(-1, -1) == Polynomial.ZERO
 
@@ -204,6 +218,16 @@ def _to_sympy(p):
 
 def _from_sympy(p):
     return Polynomial(Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs()))
+
+
+@settings(max_examples=200)
+@given(polys, nonzero_polys, st.fractions(-9, 9, max_denominator=6))
+def test_arithmetic_results_are_canonical(a, b, c):
+    # a value reached by arithmetic is the one its coefficients construct
+    for p in ((a * b) // b, -(-a), a * c, a + b - b, (a * b) % b, a.monic() if a else a):
+        rebuilt = Polynomial(p.coeffs)
+        assert p == rebuilt and hash(p) == hash(rebuilt)
+        assert p.coeffs == rebuilt.coeffs and p.leading == rebuilt.leading
 
 
 @settings(max_examples=300)

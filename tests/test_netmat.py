@@ -57,6 +57,11 @@ def test_rf_matrix_must_be_square():
         RfMatrix(("a",), [[0, 1]])
 
 
+def test_rf_matrix_rejects_float_entries():
+    with pytest.raises(TypeError):
+        RfMatrix(("a",), [[0.5]])
+
+
 # -- bipartite adjacency ----------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
-"""Every package module exports only names it defines or imports, and uses
-(or exports) every name it imports, so deleted code leaves nothing stale."""
+"""Every package module exports only names it defines or imports, uses (or
+exports) every name it imports, and defines no private top-level name that
+nothing in the package reads, so deleted code leaves nothing stale."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "isoreduce"
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def _exports(tree: ast.Module) -> set[str]:
@@ -18,9 +20,8 @@ def _exports(tree: ast.Module) -> set[str]:
     return set()
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
-def test_exports_defined_and_imports_used(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+def _top_level(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """The names a module imports and the names it defines, at top level."""
     imported, defined = set(), set()
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -32,7 +33,36 @@ def test_exports_defined_and_imports_used(path):
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return imported, defined
+
+
+def _package_reads() -> set[str]:
+    """Every name read anywhere in the package: loads, attributes and imports."""
+    reads = set()
+    for path in MODULES:
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                reads.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                reads.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                reads.update(a.name for a in n.names)
+    return reads
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_exports_defined_and_imports_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, defined = _top_level(tree)
     exports = _exports(tree)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert exports <= defined | imported, f"exported, never defined: {sorted(exports - defined - imported)}"
     assert imported <= used | exports, f"imported, never used: {sorted(imported - used - exports)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_private_names_read_somewhere(path):
+    _, defined = _top_level(ast.parse(path.read_text(encoding="utf-8")))
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    unread = private - _package_reads()
+    assert not unread, f"private, never read in the package: {sorted(unread)}"
