@@ -45,7 +45,6 @@ def _data_path(name: str):
 def _add_common(p, with_mode=True):
     p.add_argument("--input", help="incidence CSV (default: the bundled dgg.csv)")
     p.add_argument("--output", help="output path (default: standard output)")
-    p.add_argument("--year", type=int, default=1936, help="year for the M/D date row")
     if with_mode:
         p.add_argument(
             "--mode",
@@ -110,10 +109,8 @@ def parse_args(argv) -> argparse.Namespace:
 
 def _load_input(cfg: argparse.Namespace) -> IncidenceData:
     if cfg.input is None:
-        return netmat.parse_incidence_csv(
-            _data_path("dgg.csv").read_text(encoding="utf-8"), year=cfg.year
-        )
-    return netmat.load_incidence(cfg.input, year=cfg.year)
+        return netmat.parse_incidence_csv(_data_path("dgg.csv").read_text(encoding="utf-8"))
+    return netmat.load_incidence(cfg.input)
 
 
 def _build_matrix(data: IncidenceData, mode: str) -> RfMatrix:

@@ -6,8 +6,8 @@ immutable and canonical from the moment it is constructed:
 
 * a polynomial stores a rational content times a primitive integer part
   (dense, ascending, no trailing zero, gcd 1, positive leading entry);
-* a rational function is fully reduced (numerator and denominator are
-  coprime) and its denominator is monic.
+* a rational function stores a rational k times N/D, with N and D coprime
+  primitive integer parts; num and den read it with a monic denominator.
 
 Canonical form makes equality and is-zero tests exact, which the degree
 counting in the reduction pipeline depends on. Nothing on this path ever
@@ -95,7 +95,7 @@ class Polynomial:
             raise ValueError("the zero polynomial has no monic form")
         if self.leading == 1:
             return self
-        return _poly(list(self._prim), Fraction(1, self._prim[-1]))
+        return _mkpoly(self._prim, Fraction(1, self._prim[-1]))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -123,16 +123,7 @@ class Polynomial:
             return self
         if not self._prim:
             return other
-        a, b = self, other
-        if len(a._prim) < len(b._prim):
-            a, b = b, a
-        # a + b = (c_a/v) * (v*A + u*B) with u/v = c_b/c_a in lowest terms
-        ratio = b._c / a._c
-        u, v = ratio.numerator, ratio.denominator
-        out = [c * v for c in a._prim]
-        for i, c in enumerate(b._prim):
-            out[i] += c * u
-        return _poly(out, a._c / v)
+        return _sum(self._prim, self._c, other._prim, other._c)
 
     __radd__ = __add__
 
@@ -153,16 +144,9 @@ class Polynomial:
             return _poly(list(self._prim), self._c * other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self._prim, other._prim
-        if not a or not b:
+        if not self._prim or not other._prim:
             return Polynomial.ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        return _poly(out, self._c * other._c)
+        return _poly(_mul_ints(self._prim, other._prim), self._c * other._c)
 
     __rmul__ = __mul__
 
@@ -192,12 +176,8 @@ class Polynomial:
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, x: float) -> float:
-        """Horner evaluation in double precision; each coefficient n*v/d rounds once."""
-        n, d = self._c.numerator, self._c.denominator
-        acc = 0.0
-        for v in reversed(self._prim):
-            acc = acc * x + n * v / d
-        return acc
+        """Horner evaluation in double precision; each coefficient rounds once."""
+        return _horner(self._prim, self._c.numerator, self._c.denominator, x)
 
     def __repr__(self):
         return f"Polynomial({[str(c) for c in self.coeffs]})"
@@ -218,18 +198,29 @@ def _poly(ints: list[int], scale: Fraction) -> Polynomial:
     if g != 1:
         ints = [v // g for v in ints]
         scale = scale * g
+    return _mkpoly(tuple(ints), scale)
+
+
+def _mkpoly(prim: tuple[int, ...], c: Fraction) -> Polynomial:
+    """Trusted constructor: prim is already primitive with a positive leading entry."""
     p = object.__new__(Polynomial)
-    object.__setattr__(p, "_c", scale)
-    object.__setattr__(p, "_prim", tuple(ints))
+    object.__setattr__(p, "_c", c)
+    object.__setattr__(p, "_prim", prim)
     return p
 
 
-# _poly returns this for every zero, so it is built by hand.
-Polynomial.ZERO = object.__new__(Polynomial)
-object.__setattr__(Polynomial.ZERO, "_c", Fraction(0))
-object.__setattr__(Polynomial.ZERO, "_prim", ())
-Polynomial.ONE = Polynomial((1,))
-Polynomial.X = Polynomial((0, 1))
+Polynomial.ZERO = _mkpoly((), Fraction(0))
+Polynomial.ONE = _mkpoly((1,), Fraction(1))
+Polynomial.X = _mkpoly((0, 1), Fraction(1))
+
+
+def _horner(prim, n: int, d: int, x: float) -> float:
+    """(n/d) * sum(prim[i] * x**i) by Horner in double precision; each coefficient
+    n*v/d is one correctly rounded int division, whatever form n/d comes in."""
+    acc = 0.0
+    for v in reversed(prim):
+        acc = acc * x + n * v / d
+    return acc
 
 
 def _coerce_poly(value):
@@ -240,14 +231,38 @@ def _coerce_poly(value):
     return None
 
 
-# -- integer division and gcd ------------------------------------------------
+# -- integer kernels ------------------------------------------------------------
+# Int sequences, ascending, no trailing zero. By Gauss's lemma products and
+# exact quotients of primitive parts are primitive, so they need no gcd pass.
+
+
+def _mul_ints(a, b) -> list[int]:
+    """Coefficient convolution of two nonempty int sequences."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                if cb:
+                    out[i + j] += ca * cb
+    return out
+
+
+def _sum(a, ca: Fraction, b, cb: Fraction) -> Polynomial:
+    """The canonical polynomial ca*A + cb*B, for nonempty A, B and nonzero ca, cb."""
+    if len(a) < len(b):
+        a, ca, b, cb = b, cb, a, ca
+    # ca*A + cb*B = (ca/v) * (v*A + u*B) with u/v = cb/ca in lowest terms
+    ratio = cb / ca
+    u, v = ratio.numerator, ratio.denominator
+    out = [c * v for c in a]
+    for i, c in enumerate(b):
+        out[i] += c * u
+    return _poly(out, ca / v)
 
 
 def _pseudo_divmod(a, b) -> tuple[list[int], list[int], int]:
-    """Pseudo-division of integer sequences, b nonzero: s*a = q*b + r, deg r < deg b.
-
-    Returns q, r (lists, no trailing zeros) and s = lc(b)**max(deg a - deg b + 1, 0).
-    """
+    """Pseudo-division of int sequences, b nonzero: s*a = q*b + r, deg r < deg b, with
+    s = lc(b)**max(deg a - deg b + 1, 0); q and r are lists without trailing zeros."""
     lb = b[-1]
     r = list(a)
     q = [0] * (len(a) - len(b) + 1)
@@ -262,89 +277,70 @@ def _pseudo_divmod(a, b) -> tuple[list[int], list[int], int]:
     return q, r, lb ** len(q)
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor via the Euclidean remainder sequence.
-
-    The trivial cases are decided first: gcd(0, 0) raises ValueError, a
-    zero argument gives the other argument's monic form, and a nonzero
-    constant argument gives Polynomial.ONE. Otherwise the loop pseudo-divides
-    the stored primitive parts and keeps only the primitive part of each
-    remainder, which holds coefficient growth in check; rescaling by a
-    nonzero rational does not change the gcd.
-    """
-    if a.is_zero:
-        if b.is_zero:
-            raise ValueError("gcd(0, 0) is undefined")
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
-    if a.degree == 0 or b.degree == 0:
-        return Polynomial.ONE
-    while b:
-        a, b = b, _poly(_pseudo_divmod(a._prim, b._prim)[1], Fraction(1))
-    return a.monic()
-
-
-def _exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
-    if b == Polynomial.ONE:
+def _quo(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Exact quotient of primitive a by a primitive divisor b of it."""
+    if len(b) == 1:
         return a
-    q, r = divmod(a, b)
-    if not r.is_zero:
-        raise ArithmeticError("inexact polynomial division")
-    return q
+    q, _, s = _pseudo_divmod(a, b)
+    return tuple([c // s for c in q])
+
+
+def _gcd_prim(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Primitive gcd of nonzero primitive parts: the Euclidean remainder
+    sequence, keeping only each remainder's primitive part against growth."""
+    if len(a) == 1 or len(b) == 1:
+        return (1,)
+    while b:
+        a, b = b, _poly(_pseudo_divmod(a, b)[1], 1)._prim
+    return a
+
+
+def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic greatest common divisor: _gcd_prim of the stored primitive parts
+    made monic, as rescaling by a nonzero rational keeps the gcd. A zero
+    argument gives the other's monic form; gcd(0, 0) raises ValueError."""
+    if not (a and b):
+        if not (a or b):
+            raise ValueError("gcd(0, 0) is undefined")
+        return (a or b).monic()
+    g = _gcd_prim(a._prim, b._prim)
+    return _mkpoly(g, Fraction(1, g[-1]))
 
 
 # -- rational functions --------------------------------------------------------
 
 
 class RatFun:
-    """Rational function num/den in canonical form.
+    """Rational function k * N/D in canonical form.
 
-    Canonical means gcd(num, den) = 1 and den is monic; zero is 0/1. All
-    operations return canonical values, so equality and is-zero checks are
-    plain structural comparisons.
+    k is a Fraction; N and D are coprime int tuples, each primitive with a
+    positive leading entry; zero is 0 * ()/(1,). The form is unique, so
+    equality and is-zero checks are plain structural comparisons. num and
+    den give the value as Polynomials with a monic denominator.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_k", "_n", "_d")
 
     ZERO: "RatFun"
     ONE: "RatFun"
     X: "RatFun"
 
-    def __init__(self, num, den=None):
+    def __new__(cls, num, den=None):
         num = _coerce_poly(num)
         if num is None:
             raise TypeError("numerator must be a Polynomial or exact number")
+        f = _rf(num._prim, (1,), num._c)
         if den is None:
-            den = Polynomial.ONE
-        else:
-            den = _coerce_poly(den)
-            if den is None:
-                raise TypeError("denominator must be a Polynomial or exact number")
+            return f
+        den = _coerce_poly(den)
+        if den is None:
+            raise TypeError("denominator must be a Polynomial or exact number")
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        g = poly_gcd(num, den)
-        canon = RatFun._reduced(_exact_div(num, g), _exact_div(den, g))
-        object.__setattr__(self, "_num", canon._num)
-        object.__setattr__(self, "_den", canon._den)
+        return f / _rf(den._prim, (1,), den._c)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFun is immutable")
-
-    @classmethod
-    def _reduced(cls, num: Polynomial, den: Polynomial) -> "RatFun":
-        # Internal: num, den already coprime; only monic scaling remains.
-        obj = object.__new__(cls)
-        if num.is_zero:
-            object.__setattr__(obj, "_num", Polynomial.ZERO)
-            object.__setattr__(obj, "_den", Polynomial.ONE)
-            return obj
-        lc = den.leading
-        if lc != 1:
-            num, den = num * (1 / lc), den.monic()
-        object.__setattr__(obj, "_num", num)
-        object.__setattr__(obj, "_den", den)
-        return obj
 
     @classmethod
     def constant(cls, value) -> "RatFun":
@@ -352,64 +348,60 @@ class RatFun:
 
     @property
     def num(self) -> Polynomial:
-        return self._num
+        return _mkpoly(self._n, self._k / self._d[-1])
 
     @property
     def den(self) -> Polynomial:
-        return self._den
+        return _mkpoly(self._d, Fraction(1, self._d[-1]))
 
     @property
     def is_zero(self) -> bool:
-        return self._num.is_zero
+        return not self._n
 
     @property
     def is_constant(self) -> bool:
-        return self._den == Polynomial.ONE and self._num.degree <= 0
+        return len(self._d) == 1 and len(self._n) <= 1
 
     def as_fraction(self) -> Fraction:
         if not self.is_constant:
             raise ValueError(f"{self} is not a constant")
-        return self._num.leading
+        return self._k
 
     # -- field operations ---------------------------------------------------
 
     def __bool__(self) -> bool:
-        return not self._num.is_zero
+        return bool(self._n)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RatFun):
-            return self._num == other._num and self._den == other._den
+            return self._k == other._k and self._n == other._n and self._d == other._d
         if isinstance(other, (int, Fraction, Polynomial)):
             return self == RatFun(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self._num, self._den))
+        return hash((self._k, self._n, self._d))
 
     def __neg__(self) -> "RatFun":
-        return RatFun._reduced(-self._num, self._den)
+        return _rf(self._n, self._d, -self._k)
 
     def __add__(self, other) -> "RatFun":
         other = _coerce_rf(other)
         if other is None:
             return NotImplemented
-        a, b = self._num, self._den
-        c, d = other._num, other._den
-        if a.is_zero:
+        if not self._n:
             return other
-        if c.is_zero:
+        if not other._n:
             return self
-        if b == Polynomial.ONE and d == Polynomial.ONE:
-            return RatFun._reduced(a + c, Polynomial.ONE)
-        # Inputs are canonical, so gcd(a, b) = gcd(c, d) = 1 and the
+        # Inputs are canonical, so gcd(N1, D1) = gcd(N2, D2) = 1 and the
         # classical reduced-sum identities apply.
-        g = poly_gcd(b, d)
-        if g == Polynomial.ONE:
-            return RatFun._reduced(a * d + c * b, b * d)
-        b1, d1 = _exact_div(b, g), _exact_div(d, g)
-        t = a * d1 + c * b1
-        h = poly_gcd(t, g)
-        return RatFun._reduced(_exact_div(t, h), b1 * d1 * _exact_div(g, h))
+        g = _gcd_prim(self._d, other._d)
+        d1, d2 = _quo(self._d, g), _quo(other._d, g)
+        t = _sum(_mul_ints(self._n, d2), self._k, _mul_ints(other._n, d1), other._k)
+        if not t:
+            return RatFun.ZERO
+        h = _gcd_prim(t._prim, g)
+        return _rf(_quo(t._prim, h), tuple(_mul_ints(_mul_ints(d1, d2), _quo(g, h))), t._c)
 
     __radd__ = __add__
 
@@ -429,14 +421,12 @@ class RatFun:
         other = _coerce_rf(other)
         if other is None:
             return NotImplemented
-        a, b = self._num, self._den
-        c, d = other._num, other._den
-        if b == Polynomial.ONE and d == Polynomial.ONE:
-            return RatFun._reduced(a * c, Polynomial.ONE)
-        g1, g2 = poly_gcd(a, d), poly_gcd(c, b)
-        return RatFun._reduced(
-            _exact_div(a, g1) * _exact_div(c, g2), _exact_div(b, g2) * _exact_div(d, g1)
-        )
+        if not self._n or not other._n:
+            return RatFun.ZERO
+        g1, g2 = _gcd_prim(self._n, other._d), _gcd_prim(other._n, self._d)
+        n = _mul_ints(_quo(self._n, g1), _quo(other._n, g2))
+        d = _mul_ints(_quo(self._d, g2), _quo(other._d, g1))
+        return _rf(tuple(n), tuple(d), self._k * other._k)
 
     __rmul__ = __mul__
 
@@ -444,9 +434,9 @@ class RatFun:
         other = _coerce_rf(other)
         if other is None:
             return NotImplemented
-        if other.is_zero:
+        if not other._n:
             raise ZeroDivisionError("division by the zero rational function")
-        return self * RatFun._reduced(other._den, other._num)
+        return self * _rf(other._d, other._n, 1 / other._k)
 
     def __rtruediv__(self, other) -> "RatFun":
         other = _coerce_rf(other)
@@ -457,14 +447,12 @@ class RatFun:
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, x: float, pole_tol: float = 1e-12) -> float:
-        """num(x)/den(x) by Horner evaluation of both polynomials.
-
-        Raises PoleError when |den(x)| does not exceed pole_tol.
-        """
-        dv = self._den(x)
+        """num(x)/den(x) by Horner evaluation; PoleError when |den(x)| <= pole_tol."""
+        k, lc = self._k, self._d[-1]
+        dv = _horner(self._d, 1, lc, x)
         if abs(dv) <= pole_tol:
             raise PoleError(x)
-        return self._num(x) / dv
+        return _horner(self._n, k.numerator, k.denominator * lc, x) / dv
 
     def __repr__(self):
         return f"RatFun({ratfun_to_str(self)!r})"
@@ -473,9 +461,18 @@ class RatFun:
         return ratfun_to_str(self)
 
 
-RatFun.ZERO = RatFun(Polynomial.ZERO)
-RatFun.ONE = RatFun(Polynomial.ONE)
-RatFun.X = RatFun(Polynomial.X)
+def _rf(n: tuple[int, ...], d: tuple[int, ...], k: Fraction) -> RatFun:
+    """Trusted constructor of k * N/D; the caller guarantees the canonical form."""
+    f = object.__new__(RatFun)
+    object.__setattr__(f, "_k", k)
+    object.__setattr__(f, "_n", n)
+    object.__setattr__(f, "_d", d)
+    return f
+
+
+RatFun.ZERO = _rf((), (1,), Fraction(0))
+RatFun.ONE = _rf((1,), (1,), Fraction(1))
+RatFun.X = _rf((0, 1), (1,), Fraction(1))
 
 
 def _coerce_rf(value):

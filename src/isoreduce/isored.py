@@ -106,7 +106,7 @@ def reduce(m: RfMatrix, s: Iterable[str]) -> ReductionResult:
     pivot e_rr - x is zero, which cannot happen while every entry has
     numerator degree at most its denominator degree.
     """
-    wanted = set(s)
+    wanted = dict.fromkeys(s)  # an ordered set: the first unknown label is the one named
     if not wanted:
         raise ValueError("the kept node set must not be empty")
     for lab in wanted:

@@ -153,10 +153,8 @@ class RfMatrix:
         return self._entries[self.index(label)]
 
     def is_symmetric(self) -> bool:
-        n = len(self._labels)
-        return all(
-            self._entries[i][j] == self._entries[j][i] for i in range(n) for j in range(i + 1, n)
-        )
+        # tuple equality skips identical objects, so mirrored entries cost nothing
+        return self._entries == tuple(zip(*self._entries))
 
     def is_constant(self) -> bool:
         return all(v.is_constant for row in self._entries for v in row)
@@ -277,21 +275,24 @@ def mode_convert(
 #
 # Line 1:  name,<col label>,...         Line 2 (optional):  date,<M/D>,...
 # Then one line per row:  <row label>,<0|1>,...
-# Dates carry month/day only; the year is supplied by the caller.
+# Dates carry month/day only. They are placed in the leap year _DATE_YEAR, so
+# every M/D parses, 2/29 included; events only ever sort within one year.
+
+_DATE_YEAR = 1936
 
 
-def _parse_date(token: str, year: int, line: int, column: int) -> datetime.date:
+def _parse_date(token: str, line: int, column: int) -> datetime.date:
     parts = token.strip().split("/")
     if len(parts) != 2:
         raise IncidenceFormatError(f"date must be M/D, got {token!r}", line, column)
     try:
         month, day = int(parts[0]), int(parts[1])
-        return datetime.date(year, month, day)
+        return datetime.date(_DATE_YEAR, month, day)
     except ValueError as exc:
         raise IncidenceFormatError(f"invalid date {token!r}: {exc}", line, column) from None
 
 
-def parse_incidence_csv(text: str, year: int = 1936) -> IncidenceData:
+def parse_incidence_csv(text: str) -> IncidenceData:
     lines = [ln for ln in text.splitlines()]
     rows_raw = [(i + 1, ln.split(",")) for i, ln in enumerate(lines) if ln.strip()]
     if not rows_raw:
@@ -311,9 +312,7 @@ def parse_incidence_csv(text: str, year: int = 1936) -> IncidenceData:
             raise IncidenceFormatError(
                 f"date row has {len(cells) - 1} entries for {len(col_labels)} columns", line_no
             )
-        dates = tuple(
-            _parse_date(tok, year, line_no, k + 2) for k, tok in enumerate(cells[1:])
-        )
+        dates = tuple([_parse_date(tok, line_no, k + 2) for k, tok in enumerate(cells[1:])])
         body = body[1:]
 
     row_labels = []
@@ -343,8 +342,8 @@ def parse_incidence_csv(text: str, year: int = 1936) -> IncidenceData:
         raise IncidenceFormatError(str(exc)) from None
 
 
-def load_incidence(path: str | Path, year: int = 1936) -> IncidenceData:
-    return parse_incidence_csv(Path(path).read_text(encoding="utf-8"), year=year)
+def load_incidence(path: str | Path) -> IncidenceData:
+    return parse_incidence_csv(Path(path).read_text(encoding="utf-8"))
 
 
 def incidence_to_csv(data: IncidenceData) -> str:

@@ -174,10 +174,10 @@ def verify_spectrum(m: RfMatrix, s: Iterable[str], tol: float = 1e-6) -> Spectru
     nearest actual root. It is summed as logs of the LU pivots and the
     distances, capped at exp(700), and 0.0 if the LU is singular.
     """
-    wanted = set(s)
+    wanted = dict.fromkeys(s)  # ordered, so reduce names the first unknown label given
     if not wanted:
         raise ValueError("the kept node set must not be empty")
-    if wanted >= set(m.labels):
+    if wanted.keys() >= set(m.labels):
         raise ValueError("verification requires a proper subset of the labels")
     full = _float_matrix(m)
     if not m.is_symmetric():

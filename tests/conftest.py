@@ -13,7 +13,7 @@ def _data_text(name):
 
 @pytest.fixture(scope="session")
 def dgg():
-    return parse_incidence_csv(_data_text("dgg.csv"), year=1936)
+    return parse_incidence_csv(_data_text("dgg.csv"))
 
 
 @pytest.fixture(scope="session")

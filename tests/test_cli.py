@@ -32,7 +32,6 @@ def test_parse_hierarchy_defaults():
     assert cfg.subcommand == "hierarchy"
     assert cfg.mode == "bipartite"
     assert cfg.restrict is None
-    assert cfg.year == 1936
 
 
 def test_parse_verify_tolerance():
@@ -56,6 +55,7 @@ def test_parse_project():
         ["verify", "--keep", "k.txt", "--tol", "-1"],
         ["verify", "--keep", "k.txt", "--tol", "nan"],
         ["verify", "--keep", "k.txt", "--tol", "inf"],
+        ["hierarchy", "--year", "1937"],
     ],
 )
 def test_usage_errors_exit_64(argv, capsys):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from isoreduce.exactnum import (
@@ -169,6 +169,11 @@ def test_eval_cancels_first():
     assert RatFun(P(-1, 0, 1), P(-1, 1))(3.0) == 4.0
 
 
+@pytest.mark.parametrize("c", [-3, Fraction(-7, 4), Fraction(5, 6), Fraction(-1, 9), 0, 12])
+def test_constant_as_fraction_round_trip(c):
+    assert RatFun.constant(c).as_fraction() == c
+
+
 def test_eval_pole():
     with pytest.raises(PoleError) as err:
         RatFun(1, X)(0.0)
@@ -303,3 +308,20 @@ def test_text_round_trip(f):
     back = ratfun_from_str(text)
     assert back == f
     assert ratfun_to_str(back) == text
+
+
+@settings(max_examples=200)
+@given(ratfuns, nonzero_polys)
+def test_zero_results_are_canonical_zero(f, p):
+    for z in (f - f, f * RatFun.ZERO, RatFun.ZERO * f, RatFun(0, p)):
+        assert z == RatFun.ZERO and z.is_zero and hash(z) == hash(RatFun.ZERO)
+        assert ratfun_to_str(z) == "0"
+
+
+@settings(max_examples=300)
+@given(ratfuns, st.floats(-20, 20, allow_nan=False))
+def test_eval_rounds_like_num_over_den(f, x):
+    # evaluation is fixed to num(x)/den(x) bit for bit: verify residuals depend on it
+    dv = f.den(x)
+    assume(abs(dv) > 1e-12)
+    assert f(x).hex() == (f.num(x) / dv).hex()

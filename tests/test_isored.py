@@ -129,6 +129,13 @@ def test_reduce_errors():
         reduce(m, ("1", "nope"))
 
 
+def test_reduce_names_first_unknown_label():
+    # the error names the first unknown label given, whatever the hash seed
+    unknown = [f"zz{i}" for i in range(10)]
+    with pytest.raises(ValueError, match="unknown node label 'zz0'"):
+        reduce(path3(), ["1", *unknown])
+
+
 def test_reduce_singular_shifted_block():
     # a diagonal entry equal to x makes the pivot e_aa - x vanish identically;
     # in the 3x3 case the shifted block is invertible only by swapping rows

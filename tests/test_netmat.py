@@ -198,7 +198,7 @@ def test_bundled_csv_parses(dgg):
 
 
 def test_csv_round_trip(dgg):
-    again = parse_incidence_csv(incidence_to_csv(dgg), year=1936)
+    again = parse_incidence_csv(incidence_to_csv(dgg))
     assert again == dgg
 
 

@@ -2,8 +2,8 @@ import json
 import math
 import random
 
-import numpy as np
 import pytest
+import sympy
 
 from isoreduce.exactnum import Polynomial, RatFun
 from isoreduce import isored
@@ -119,7 +119,10 @@ def test_jacobi_against_charpoly_roots():
                 m[i][j] = m[j][i] = rng.randint(-3, 3)
         got = sym_eigenvalues(m)
         coeffs = _charpoly_int(m)
-        roots = sorted(np.roots(list(reversed(coeffs))).real)
+        charpoly = sympy.Poly(list(reversed(coeffs)), sympy.Symbol("t"))
+        # exact real roots, repeated by multiplicity, in ascending order
+        roots = [float(r) for r in sympy.real_roots(charpoly)]
+        assert len(roots) == n
         assert got == pytest.approx(roots, abs=1e-8)
 
 
@@ -304,6 +307,13 @@ def test_verify_requires_proper_subset():
         verify_spectrum(path3(), ("1", "2", "3"))
     with pytest.raises(ValueError):
         verify_spectrum(path3(), ())
+
+
+def test_verify_names_first_unknown_label():
+    # verify hands reduce its labels in the order given, not as a set
+    unknown = [f"zz{i}" for i in range(10)]
+    with pytest.raises(ValueError, match="unknown node label 'zz0'"):
+        verify_spectrum(path3(), ["1", *unknown])
 
 
 def test_verify_rejects_nonconstant_matrix():
