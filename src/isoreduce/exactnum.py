@@ -1,13 +1,13 @@
-"""Exact scalar arithmetic: polynomials over the rationals and rational
-functions in one indeterminate.
+"""Exact scalar arithmetic: rational functions in one indeterminate, and the
+polynomials among them.
 
 The indeterminate is rendered as ``x`` in all text forms. Every value is
-immutable and canonical from the moment it is constructed:
-
-* a polynomial stores a rational content times a primitive integer part
-  (dense, ascending, no trailing zero, gcd 1, positive leading entry);
-* a rational function stores a rational k times N/D, with N and D coprime
-  primitive integer parts; num and den read it with a monic denominator.
+immutable and canonical from the moment it is constructed. It stores a
+rational k times N/D, with N and D coprime primitive integer parts (dense,
+ascending, no trailing zero, gcd 1, positive leading entry); num and den
+read it with a monic denominator. A value with D = (1,) is a polynomial,
+and its class says so: the one trusted constructor builds a Polynomial
+exactly when D = (1,), so one value always has one class.
 
 Canonical form makes equality and is-zero tests exact, which the degree
 counting in the reduction pipeline depends on. Nothing on this path ever
@@ -42,317 +42,49 @@ class PoleError(ArithmeticError):
         self.x = x
 
 
-class Polynomial:
-    """Dense univariate polynomial over Q, stored as content * primitive part.
-
-    The content ``_c`` is a Fraction; ``_prim[i]`` is the int multiplying
-    x**i, with no trailing zero, gcd 1 and a positive leading entry. Only
-    the zero polynomial has content 0; its ``_prim`` is () and its degree -inf.
-    """
-
-    __slots__ = ("_c", "_prim")
-
-    ZERO: "Polynomial"
-    ONE: "Polynomial"
-    X: "Polynomial"
-
-    def __new__(cls, coeffs=()):
-        cs = list(coeffs)
-        for c in cs:
-            if not isinstance(c, (int, Fraction)):
-                raise TypeError(f"exact coefficient required, got {type(c).__name__}")
-        # a list: *generator builds a resized tuple, which piles up on CPython's free lists
-        d = math.lcm(*[c.denominator for c in cs])
-        return _poly([c.numerator * (d // c.denominator) for c in cs], Fraction(1, d))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
-    @classmethod
-    def constant(cls, value) -> "Polynomial":
-        return cls((value,))
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        c = self._c
-        return tuple([c * v for v in self._prim])
-
-    @property
-    def degree(self):
-        """Degree of the polynomial; -inf for the zero polynomial."""
-        return len(self._prim) - 1 if self._prim else NEG_INF
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._prim
-
-    @property
-    def leading(self) -> Fraction:
-        return self._c * self._prim[-1] if self._prim else self._c
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            raise ValueError("the zero polynomial has no monic form")
-        if self.leading == 1:
-            return self
-        return _mkpoly(self._prim, Fraction(1, self._prim[-1]))
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __bool__(self) -> bool:
-        return bool(self._prim)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Polynomial):
-            return self._prim == other._prim and self._c == other._c
-        if isinstance(other, (int, Fraction)):
-            return self == Polynomial.constant(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self._c, self._prim))
-
-    def __neg__(self) -> "Polynomial":
-        return _poly(list(self._prim), -self._c)
-
-    def __add__(self, other) -> "Polynomial":
-        other = _coerce_poly(other)
-        if other is None:
-            return NotImplemented
-        if not other._prim:
-            return self
-        if not self._prim:
-            return other
-        return _sum(self._prim, self._c, other._prim, other._c)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Polynomial":
-        other = _coerce_poly(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Polynomial":
-        other = _coerce_poly(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return _poly(list(self._prim), self._c * other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if not self._prim or not other._prim:
-            return Polynomial.ZERO
-        return _poly(_mul_ints(self._prim, other._prim), self._c * other._c)
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, other) -> tuple["Polynomial", "Polynomial"]:
-        """Quotient and remainder over Q: self = q*other + r with deg r < deg other.
-
-        Pseudo-division of the primitive parts A and B gives s*A = Q*B + R,
-        so q = Q*c_self/(s*c_other) and r = R*c_self/s exactly.
-        """
-        other = _coerce_poly(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < other.degree:
-            return Polynomial.ZERO, self
-        q, r, s = _pseudo_divmod(self._prim, other._prim)
-        scale = self._c / s
-        return _poly(q, scale / other._c), _poly(r, scale)
-
-    def __floordiv__(self, other) -> "Polynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other) -> "Polynomial":
-        return divmod(self, other)[1]
-
-    # -- evaluation ---------------------------------------------------------
-
-    def __call__(self, x: float) -> float:
-        """Horner evaluation in double precision; each coefficient rounds once."""
-        return _horner(self._prim, self._c.numerator, self._c.denominator, x)
-
-    def __repr__(self):
-        return f"Polynomial({[str(c) for c in self.coeffs]})"
-
-    def __str__(self):
-        return poly_to_str(self)
-
-
-def _poly(ints: list[int], scale: Fraction) -> Polynomial:
-    """The canonical polynomial scale * sum(ints[i] * x**i); consumes ints."""
-    while ints and ints[-1] == 0:
-        ints.pop()
-    if not ints or not scale:
-        return Polynomial.ZERO
-    g = math.gcd(*ints)
-    if ints[-1] < 0:
-        g = -g
-    if g != 1:
-        ints = [v // g for v in ints]
-        scale = scale * g
-    return _mkpoly(tuple(ints), scale)
-
-
-def _mkpoly(prim: tuple[int, ...], c: Fraction) -> Polynomial:
-    """Trusted constructor: prim is already primitive with a positive leading entry."""
-    p = object.__new__(Polynomial)
-    object.__setattr__(p, "_c", c)
-    object.__setattr__(p, "_prim", prim)
-    return p
-
-
-Polynomial.ZERO = _mkpoly((), Fraction(0))
-Polynomial.ONE = _mkpoly((1,), Fraction(1))
-Polynomial.X = _mkpoly((0, 1), Fraction(1))
-
-
-def _horner(prim, n: int, d: int, x: float) -> float:
-    """(n/d) * sum(prim[i] * x**i) by Horner in double precision; each coefficient
-    n*v/d is one correctly rounded int division, whatever form n/d comes in."""
-    acc = 0.0
-    for v in reversed(prim):
-        acc = acc * x + n * v / d
-    return acc
-
-
-def _coerce_poly(value):
-    if isinstance(value, Polynomial):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Polynomial.constant(value)
-    return None
-
-
-# -- integer kernels ------------------------------------------------------------
-# Int sequences, ascending, no trailing zero. By Gauss's lemma products and
-# exact quotients of primitive parts are primitive, so they need no gcd pass.
-
-
-def _mul_ints(a, b) -> list[int]:
-    """Coefficient convolution of two nonempty int sequences."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-    return out
-
-
-def _sum(a, ca: Fraction, b, cb: Fraction) -> Polynomial:
-    """The canonical polynomial ca*A + cb*B, for nonempty A, B and nonzero ca, cb."""
-    if len(a) < len(b):
-        a, ca, b, cb = b, cb, a, ca
-    # ca*A + cb*B = (ca/v) * (v*A + u*B) with u/v = cb/ca in lowest terms
-    ratio = cb / ca
-    u, v = ratio.numerator, ratio.denominator
-    out = [c * v for c in a]
-    for i, c in enumerate(b):
-        out[i] += c * u
-    return _poly(out, ca / v)
-
-
-def _pseudo_divmod(a, b) -> tuple[list[int], list[int], int]:
-    """Pseudo-division of int sequences, b nonzero: s*a = q*b + r, deg r < deg b, with
-    s = lc(b)**max(deg a - deg b + 1, 0); q and r are lists without trailing zeros."""
-    lb = b[-1]
-    r = list(a)
-    q = [0] * (len(a) - len(b) + 1)
-    for i in reversed(range(len(q))):
-        lead = r.pop()
-        q[i] = lead * lb**i
-        r = [c * lb for c in r]
-        for j, c in enumerate(b[:-1]):
-            r[i + j] -= lead * c
-    while r and r[-1] == 0:
-        r.pop()
-    return q, r, lb ** len(q)
-
-
-def _quo(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Exact quotient of primitive a by a primitive divisor b of it."""
-    if len(b) == 1:
-        return a
-    q, _, s = _pseudo_divmod(a, b)
-    return tuple([c // s for c in q])
-
-
-def _gcd_prim(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Primitive gcd of nonzero primitive parts: the Euclidean remainder
-    sequence, keeping only each remainder's primitive part against growth."""
-    if len(a) == 1 or len(b) == 1:
-        return (1,)
-    while b:
-        a, b = b, _poly(_pseudo_divmod(a, b)[1], 1)._prim
-    return a
-
-
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor: _gcd_prim of the stored primitive parts
-    made monic, as rescaling by a nonzero rational keeps the gcd. A zero
-    argument gives the other's monic form; gcd(0, 0) raises ValueError."""
-    if not (a and b):
-        if not (a or b):
-            raise ValueError("gcd(0, 0) is undefined")
-        return (a or b).monic()
-    g = _gcd_prim(a._prim, b._prim)
-    return _mkpoly(g, Fraction(1, g[-1]))
-
-
-# -- rational functions --------------------------------------------------------
-
-
 class RatFun:
     """Rational function k * N/D in canonical form.
 
     k is a Fraction; N and D are coprime int tuples, each primitive with a
     positive leading entry; zero is 0 * ()/(1,). The form is unique, so
     equality and is-zero checks are plain structural comparisons. num and
-    den give the value as Polynomials with a monic denominator.
+    den give the value as Polynomials with a monic denominator. Every value
+    with D = (1,) is a Polynomial instance, whatever operation made it.
     """
 
     __slots__ = ("_k", "_n", "_d")
 
-    ZERO: "RatFun"
-    ONE: "RatFun"
-    X: "RatFun"
+    ZERO: "Polynomial"
+    ONE: "Polynomial"
+    X: "Polynomial"
 
     def __new__(cls, num, den=None):
-        num = _coerce_poly(num)
-        if num is None:
-            raise TypeError("numerator must be a Polynomial or exact number")
-        f = _rf(num._prim, (1,), num._c)
+        f = _coerce_rf(num)
+        if f is None:
+            raise TypeError("numerator must be a RatFun or exact number")
         if den is None:
             return f
-        den = _coerce_poly(den)
+        den = _coerce_rf(den)
         if den is None:
-            raise TypeError("denominator must be a Polynomial or exact number")
-        if den.is_zero:
+            raise TypeError("denominator must be a RatFun or exact number")
+        if not den._n:
             raise ZeroDivisionError("rational function with zero denominator")
-        return f / _rf(den._prim, (1,), den._c)
+        return f / den
 
     def __setattr__(self, name, value):
-        raise AttributeError("RatFun is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @classmethod
-    def constant(cls, value) -> "RatFun":
-        return cls(Polynomial.constant(value))
-
-    @property
-    def num(self) -> Polynomial:
-        return _mkpoly(self._n, self._k / self._d[-1])
+    @staticmethod
+    def constant(value) -> "Polynomial":
+        return Polynomial((value,))
 
     @property
-    def den(self) -> Polynomial:
-        return _mkpoly(self._d, Fraction(1, self._d[-1]))
+    def num(self) -> "Polynomial":
+        return _rf(self._n, (1,), self._k / self._d[-1])
+
+    @property
+    def den(self) -> "Polynomial":
+        return _rf(self._d, (1,), Fraction(1, self._d[-1]))
 
     @property
     def is_zero(self) -> bool:
@@ -373,13 +105,15 @@ class RatFun:
         return bool(self._n)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, RatFun):
-            return self._k == other._k and self._n == other._n and self._d == other._d
-        if isinstance(other, (int, Fraction, Polynomial)):
-            return self == RatFun(other)
-        return NotImplemented
+        other = _coerce_rf(other)
+        if other is None:
+            return NotImplemented
+        return self._k == other._k and self._n == other._n and self._d == other._d
 
     def __hash__(self):
+        # a constant hashes like the int or Fraction it equals
+        if self.is_constant:
+            return hash(self._k)
         return hash((self._k, self._n, self._d))
 
     def __neg__(self) -> "RatFun":
@@ -398,10 +132,10 @@ class RatFun:
         g = _gcd_prim(self._d, other._d)
         d1, d2 = _quo(self._d, g), _quo(other._d, g)
         t = _sum(_mul_ints(self._n, d2), self._k, _mul_ints(other._n, d1), other._k)
-        if not t:
-            return RatFun.ZERO
-        h = _gcd_prim(t._prim, g)
-        return _rf(_quo(t._prim, h), tuple(_mul_ints(_mul_ints(d1, d2), _quo(g, h))), t._c)
+        if not t._n:
+            return t
+        h = _gcd_prim(t._n, g)
+        return _rf(_quo(t._n, h), tuple(_mul_ints(_mul_ints(d1, d2), _quo(g, h))), t._k)
 
     __radd__ = __add__
 
@@ -447,7 +181,9 @@ class RatFun:
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, x: float, pole_tol: float = 1e-12) -> float:
-        """num(x)/den(x) by Horner evaluation; PoleError when |den(x)| <= pole_tol."""
+        """num(x)/den(x) by Horner evaluation; PoleError when |den(x)| <= pole_tol.
+
+        A polynomial's den(x) is 1.0, so it evaluates as its own Horner sum."""
         k, lc = self._k, self._d[-1]
         dv = _horner(self._d, 1, lc, x)
         if abs(dv) <= pole_tol:
@@ -455,15 +191,78 @@ class RatFun:
         return _horner(self._n, k.numerator, k.denominator * lc, x) / dv
 
     def __repr__(self):
-        return f"RatFun({ratfun_to_str(self)!r})"
+        return f"{type(self).__name__}({ratfun_to_str(self)!r})"
 
     def __str__(self):
         return ratfun_to_str(self)
 
 
+class Polynomial(RatFun):
+    """Dense univariate polynomial over Q: a RatFun whose D is (1,).
+
+    k is the content and N the primitive part, so k * N[i] multiplies x**i.
+    Equality, hashing and the field operations are RatFun's; only the zero
+    polynomial has k = 0 and N = (), and its degree is -inf.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs=()):
+        cs = list(coeffs)
+        for c in cs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"exact coefficient required, got {type(c).__name__}")
+        # a list: *generator builds a resized tuple, which piles up on CPython's free lists
+        d = math.lcm(*[c.denominator for c in cs])
+        return _poly([c.numerator * (d // c.denominator) for c in cs], Fraction(1, d))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        k = self._k
+        return tuple([k * v for v in self._n])
+
+    @property
+    def degree(self):
+        """Degree of the polynomial; -inf for the zero polynomial."""
+        return len(self._n) - 1 if self._n else NEG_INF
+
+    @property
+    def leading(self) -> Fraction:
+        return self._k * self._n[-1] if self._n else self._k
+
+    def monic(self) -> "Polynomial":
+        if not self._n:
+            raise ValueError("the zero polynomial has no monic form")
+        if self.leading == 1:
+            return self
+        return _rf(self._n, (1,), Fraction(1, self._n[-1]))
+
+    def __divmod__(self, other) -> tuple["Polynomial", "Polynomial"]:
+        """Quotient and remainder over Q: self = q*other + r with deg r < deg other.
+
+        Pseudo-division of the primitive parts A and B gives s*A = Q*B + R,
+        so q = Q*k_self/(s*k_other) and r = R*k_self/s exactly.
+        """
+        other = _coerce_rf(other)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        if not other._n:
+            raise ZeroDivisionError("polynomial division by zero")
+        q, r, s = _pseudo_divmod(self._n, other._n)
+        scale = self._k / s
+        return _poly(q, scale / other._k), _poly(r, scale)
+
+    def __floordiv__(self, other) -> "Polynomial":
+        return divmod(self, other)[0]
+
+    def __mod__(self, other) -> "Polynomial":
+        return divmod(self, other)[1]
+
+
 def _rf(n: tuple[int, ...], d: tuple[int, ...], k: Fraction) -> RatFun:
-    """Trusted constructor of k * N/D; the caller guarantees the canonical form."""
-    f = object.__new__(RatFun)
+    """Trusted constructor of k * N/D; the caller guarantees the canonical form.
+    A primitive D of length 1 is (1,), so the value is a Polynomial."""
+    f = object.__new__(Polynomial if len(d) == 1 else RatFun)
     object.__setattr__(f, "_k", k)
     object.__setattr__(f, "_n", n)
     object.__setattr__(f, "_d", d)
@@ -478,9 +277,116 @@ RatFun.X = _rf((0, 1), (1,), Fraction(1))
 def _coerce_rf(value):
     if isinstance(value, RatFun):
         return value
-    if isinstance(value, (int, Fraction, Polynomial)):
-        return RatFun(value)
+    if isinstance(value, (int, Fraction)):
+        return _rf((1,), (1,), Fraction(value)) if value else RatFun.ZERO
     return None
+
+
+def _poly(ints: list[int], scale: Fraction) -> Polynomial:
+    """The canonical polynomial scale * sum(ints[i] * x**i); consumes ints."""
+    while ints and ints[-1] == 0:
+        ints.pop()
+    if not ints or not scale:
+        return RatFun.ZERO
+    g = math.gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    if g != 1:
+        ints = [v // g for v in ints]
+        scale = scale * g
+    return _rf(tuple(ints), (1,), scale)
+
+
+def _horner(prim, n: int, d: int, x: float) -> float:
+    """(n/d) * sum(prim[i] * x**i) by Horner in double precision; each coefficient
+    n*v/d is one correctly rounded int division, whatever form n/d comes in."""
+    acc = 0.0
+    for v in reversed(prim):
+        acc = acc * x + n * v / d
+    return acc
+
+
+# -- integer kernels ------------------------------------------------------------
+# Int sequences, ascending, no trailing zero. By Gauss's lemma products and
+# exact quotients of primitive parts are primitive, so they need no gcd pass.
+
+
+def _mul_ints(a, b) -> list[int]:
+    """Coefficient convolution of two nonempty int sequences."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                if cb:
+                    out[i + j] += ca * cb
+    return out
+
+
+def _sum(a, ca: Fraction, b, cb: Fraction) -> Polynomial:
+    """The canonical polynomial ca*A + cb*B, for nonempty A, B and nonzero ca, cb."""
+    if len(a) < len(b):
+        a, ca, b, cb = b, cb, a, ca
+    # ca*A + cb*B = (ca/v) * (v*A + u*B) with u/v = cb/ca in lowest terms
+    ratio = cb / ca
+    u, v = ratio.numerator, ratio.denominator
+    out = [c * v for c in a]
+    for i, c in enumerate(b):
+        out[i] += c * u
+    return _poly(out, ca / v)
+
+
+def _pseudo_divmod(a, b) -> tuple[list[int], list[int], int]:
+    """Pseudo-division of int sequences, b nonzero: s*a = q*b + r, deg r < deg b.
+    A step rescales by lc(b) only when lc(b) does not divide its leading
+    coefficient, so s is a power of lc(b), and s = 1 when b is monic or
+    divides a over Z; q and r are lists without trailing zeros."""
+    lb = b[-1]
+    r = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    s = 1
+    for i in reversed(range(len(q))):
+        lead = r.pop()
+        c, rem = divmod(lead, lb)
+        if rem:
+            r = [v * lb for v in r]
+            q = [v * lb for v in q]
+            s *= lb
+            c = lead
+        q[i] = c
+        for j, v in enumerate(b[:-1]):
+            r[i + j] -= c * v
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r, s
+
+
+def _quo(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Exact quotient of primitive a by a primitive divisor b of it."""
+    if len(b) == 1:
+        return a
+    return tuple(_pseudo_divmod(a, b)[0])
+
+
+def _gcd_prim(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Primitive gcd of nonzero primitive parts: the Euclidean remainder
+    sequence, keeping only each remainder's primitive part against growth."""
+    if len(a) == 1 or len(b) == 1:
+        return (1,)
+    while b:
+        a, b = b, _poly(_pseudo_divmod(a, b)[1], 1)._n
+    return a
+
+
+def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic greatest common divisor: _gcd_prim of the stored primitive parts
+    made monic, as rescaling by a nonzero rational keeps the gcd. A zero
+    argument gives the other's monic form; gcd(0, 0) raises ValueError."""
+    if not (a and b):
+        if not (a or b):
+            raise ValueError("gcd(0, 0) is undefined")
+        return (a or b).monic()
+    g = _gcd_prim(a._n, b._n)
+    return _rf(g, (1,), Fraction(1, g[-1]))
 
 
 # -- text form -----------------------------------------------------------------
@@ -526,8 +432,8 @@ def poly_to_str(p: Polynomial) -> str:
 
 
 def ratfun_to_str(f: RatFun) -> str:
-    if f.den == Polynomial.ONE:
-        return poly_to_str(f.num)
+    if isinstance(f, Polynomial):
+        return poly_to_str(f)
     return f"({poly_to_str(f.num)})/({poly_to_str(f.den)})"
 
 

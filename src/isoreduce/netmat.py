@@ -56,10 +56,9 @@ class IncidenceData:
     def __post_init__(self):
         rows = tuple(self.row_labels)
         cols = tuple(self.col_labels)
-        grid = tuple(tuple(int(v) for v in row) for row in self.matrix)
+        grid = tuple(tuple(row) for row in self.matrix)
         object.__setattr__(self, "row_labels", rows)
         object.__setattr__(self, "col_labels", cols)
-        object.__setattr__(self, "matrix", grid)
         if self.dates is not None:
             object.__setattr__(self, "dates", tuple(self.dates))
         labels = rows + cols
@@ -73,6 +72,8 @@ class IncidenceData:
             for v in row:
                 if v not in (0, 1):
                     raise ValueError(f"incidence entries must be 0 or 1, got {v}")
+        # checked as given, so that int() cannot turn 0.7 into 0 first
+        object.__setattr__(self, "matrix", tuple(tuple(int(v) for v in row) for row in grid))
         if self.dates is not None and len(self.dates) != len(cols):
             raise ValueError("dates must be given for every column")
 

@@ -10,11 +10,13 @@ from isoreduce.exactnum import (
     PoleError,
     Polynomial,
     RatFun,
+    _pseudo_divmod,
     poly_from_str,
     poly_gcd,
     ratfun_from_str,
     ratfun_to_str,
 )
+from isoreduce.netmat import RfMatrix
 
 X = Polynomial.X
 
@@ -180,6 +182,32 @@ def test_eval_pole():
     assert err.value.x == 0.0
 
 
+# -- one value, one class ----------------------------------------------------------
+
+
+def test_constants_shared_between_classes():
+    assert RatFun.ZERO is Polynomial.ZERO
+    assert RatFun.ONE is Polynomial.ONE
+    assert RatFun.X is Polynomial.X
+    assert RatFun(Polynomial.X) is Polynomial.X
+    assert repr(Polynomial.X) == "Polynomial('x')"
+    assert repr(RatFun(1, X)) == "RatFun('(1)/(x)')"
+
+
+def test_equal_values_hash_equal():
+    for values in (
+        {3, Fraction(3), RatFun.constant(3), Polynomial.constant(3)},
+        {Fraction(-7, 4), RatFun.constant(Fraction(-7, 4))},
+        {0, RatFun.ZERO, RatFun(0, Polynomial.X)},
+        {Polynomial.X, RatFun.X},
+    ):
+        assert len(values) == 1
+
+
+def test_rf_matrix_accepts_polynomial_entries():
+    assert RfMatrix(("a",), [[Polynomial.X]]).entry("a", "a") is Polynomial.X
+
+
 # -- text form -------------------------------------------------------------------
 
 
@@ -325,3 +353,66 @@ def test_eval_rounds_like_num_over_den(f, x):
     dv = f.den(x)
     assume(abs(dv) > 1e-12)
     assert f(x).hex() == (f.num(x) / dv).hex()
+
+
+@settings(max_examples=300)
+@given(ratfuns | polys, ratfuns | polys)
+def test_class_follows_denominator(f, g):
+    results = [f + g, f - g, f * g, -f]
+    if not g.is_zero:
+        results.append(f / g)
+    for h in results:
+        assert isinstance(h, Polynomial) == (h.den == Polynomial.ONE)
+
+
+@settings(max_examples=200)
+@given(polys, nonzero_polys, coeffs)
+def test_polynomial_operations_return_polynomials(a, b, c):
+    for p in (a + b, a - b, a * b, a * c, c * a, -a, *divmod(a, b), a // b, a % b):
+        assert type(p) is Polynomial
+
+
+@settings(max_examples=300)
+@given(polys, st.floats(-20, 20, allow_nan=False))
+def test_polynomial_eval_is_horner_over_float_coeffs(p, x):
+    acc = 0.0
+    for c in reversed(p.coeffs):
+        acc = acc * x + float(c)
+    assert p(x).hex() == acc.hex()
+
+
+def _strip(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _pad(a, n):
+    return list(a) + [0] * (n - len(a))
+
+
+small_ints = st.integers(-20, 20)
+int_seqs = st.lists(small_ints, max_size=6).map(_strip)
+int_divisors = st.builds(
+    lambda low, lead: low + [lead], st.lists(small_ints, max_size=3), st.sampled_from([1, 2, -3, 6])
+)
+
+
+@settings(max_examples=300)
+@given(int_seqs, int_divisors)
+def test_pseudo_divmod_identity(a, b):
+    q, r, s = _pseudo_divmod(a, b)
+    n = len(a) + len(b)
+    assert _pad([s * v for v in a], n) == [u + v for u, v in zip(_pad(_convolve(q, b), n), _pad(r, n))]
+    assert len(r) < len(b) and r == _strip(r)
+    assert s in {b[-1] ** i for i in range(len(a) + 1)}
+    if b[-1] == 1:
+        assert s == 1
+
+
+@settings(max_examples=300)
+@given(int_divisors, int_divisors)
+def test_pseudo_divmod_exact_over_z_needs_no_scaling(b, c):
+    a = [int(v) for v in _convolve(b, c)]
+    assert _pseudo_divmod(a, b) == (c, [], 1)

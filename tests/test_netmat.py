@@ -41,8 +41,9 @@ def test_duplicate_labels_rejected():
 
 
 def test_non_binary_entry_rejected():
-    with pytest.raises(ValueError):
-        small([[2]])
+    for matrix in ([[2]], [[0.7]], [[1.9]]):
+        with pytest.raises(ValueError):
+            small(matrix)
 
 
 def test_ragged_matrix_rejected():

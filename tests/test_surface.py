@@ -1,14 +1,20 @@
 """Every package module exports only names it defines or imports, uses (or
 exports) every name it imports, and defines no private top-level name that
-nothing in the package reads, so deleted code leaves nothing stale."""
+nothing in the package reads, so deleted code leaves nothing stale. The
+package imports only the standard library, and the tests' third-party
+imports are exactly the `test` extra of pyproject.toml."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "isoreduce"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "isoreduce"
 MODULES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _exports(tree: ast.Module) -> set[str]:
@@ -66,3 +72,29 @@ def test_private_names_read_somewhere(path):
     private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
     unread = private - _package_reads()
     assert not unread, f"private, never read in the package: {sorted(unread)}"
+
+
+def _absolute_imports(path: Path) -> set[str]:
+    """Top-level names of the modules a file imports by absolute import, at any depth."""
+    names = set()
+    for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(n, ast.Import):
+            names.update(a.name.split(".")[0] for a in n.names)
+        elif isinstance(n, ast.ImportFrom) and n.level == 0:
+            names.add(n.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_package_imports_only_stdlib(path):
+    foreign = _absolute_imports(path) - sys.stdlib_module_names
+    assert not foreign, f"imports outside the standard library: {sorted(foreign)}"
+
+
+def test_test_extra_matches_test_imports():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    extra = {re.match(r"[\w.-]+", req).group() for req in project["optional-dependencies"]["test"]}
+    local = {p.stem for p in TESTS} | {"isoreduce"}
+    imported = set().union(*map(_absolute_imports, TESTS)) - sys.stdlib_module_names - local
+    assert imported == extra
