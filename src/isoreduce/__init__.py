@@ -22,7 +22,6 @@ from .hierarchy import (
 )
 from .spectra import ConvergenceError, SpectrumReport, eval_det, sym_eigenvalues, verify_spectrum
 from .dynamics import (
-    AttendanceSeries,
     chronological_order,
     classify_activity,
     group_attendance,
@@ -62,7 +61,6 @@ __all__ = [
     "eval_det",
     "sym_eigenvalues",
     "verify_spectrum",
-    "AttendanceSeries",
     "chronological_order",
     "classify_activity",
     "group_attendance",

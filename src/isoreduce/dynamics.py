@@ -2,12 +2,13 @@
 
 Events are ordered by calendar date within named classes; group attendance
 over those orderings gives the time series whose exact means and sample
-variances summarize how steadily each group showed up.
+variances summarize how steadily each group showed up. A series is the
+counts tuple of group_attendance, paired with the events in the order the
+caller gave them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -15,22 +16,12 @@ from .hierarchy import HierarchyResult
 from .netmat import IncidenceData
 
 __all__ = [
-    "AttendanceSeries",
     "chronological_order",
     "group_attendance",
     "series_stats",
     "classify_activity",
     "level_mean_attendance",
 ]
-
-
-@dataclass(frozen=True)
-class AttendanceSeries:
-    """Per-event attendance counts of one group, events in date order."""
-
-    group_name: str
-    events: tuple[str, ...]
-    counts: tuple[int, ...]
 
 
 def chronological_order(data: IncidenceData, event_subset: Sequence[str]) -> list[str]:
@@ -45,21 +36,17 @@ def chronological_order(data: IncidenceData, event_subset: Sequence[str]) -> lis
 
 
 def group_attendance(
-    data: IncidenceData,
-    group: Sequence[str],
-    events: Sequence[str],
-    name: str = "",
-) -> AttendanceSeries:
-    """Count how many group members attended each of the listed events."""
+    data: IncidenceData, group: Sequence[str], events: Sequence[str]
+) -> tuple[int, ...]:
+    """How many group members attended each of the listed events, in the
+    order given; the series is these counts paired with the events."""
     rows = [data.row_index(lab) for lab in group]
     cols = [data.col_index(lab) for lab in events]
-    counts = tuple(sum(data.matrix[r][c] for r in rows) for c in cols)
-    return AttendanceSeries(name, tuple(events), counts)
+    return tuple(sum(data.matrix[r][c] for r in rows) for c in cols)
 
 
-def series_stats(s: AttendanceSeries) -> tuple[Fraction, Fraction]:
+def series_stats(counts: Sequence[int]) -> tuple[Fraction, Fraction]:
     """Exact mean and sample variance (n-1 divisor) of the counts."""
-    counts = s.counts
     if not counts:
         raise ValueError("series is empty")
     if len(counts) < 2:

@@ -25,8 +25,6 @@ __all__ = [
     "Polynomial",
     "RatFun",
     "poly_gcd",
-    "poly_to_str",
-    "poly_from_str",
     "ratfun_to_str",
     "ratfun_from_str",
 ]
@@ -73,10 +71,6 @@ class RatFun:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @staticmethod
-    def constant(value) -> "Polynomial":
-        return Polynomial((value,))
 
     @property
     def num(self) -> "Polynomial":
@@ -415,7 +409,7 @@ def _term_str(c: Fraction, k: int) -> str:
     return f"{_frac_str(c)}*{power}"
 
 
-def poly_to_str(p: Polynomial) -> str:
+def _poly_to_str(p: Polynomial) -> str:
     if p.is_zero:
         return "0"
     parts: list[str] = []
@@ -433,8 +427,8 @@ def poly_to_str(p: Polynomial) -> str:
 
 def ratfun_to_str(f: RatFun) -> str:
     if isinstance(f, Polynomial):
-        return poly_to_str(f)
-    return f"({poly_to_str(f.num)})/({poly_to_str(f.den)})"
+        return _poly_to_str(f)
+    return f"({_poly_to_str(f.num)})/({_poly_to_str(f.den)})"
 
 
 _TERM_RE = re.compile(
@@ -453,7 +447,7 @@ def _parse_term(text: str) -> tuple[Fraction, int]:
     return coef, power
 
 
-def poly_from_str(text: str) -> Polynomial:
+def _poly_from_str(text: str) -> Polynomial:
     t = text.strip()
     if not t:
         raise ValueError("empty polynomial text")
@@ -481,5 +475,5 @@ def ratfun_from_str(text: str) -> RatFun:
     t = text.strip()
     m = _RATFUN_RE.match(t)
     if m:
-        return RatFun(poly_from_str(m.group("num")), poly_from_str(m.group("den")))
-    return RatFun(poly_from_str(t))
+        return RatFun(_poly_from_str(m.group("num")), _poly_from_str(m.group("den")))
+    return RatFun(_poly_from_str(t))

@@ -3,7 +3,8 @@
 A selection rule maps a matrix to the set of nodes worth keeping; reducing
 over that set repeatedly peels the network down to a core. Nodes removed at
 the same step share one peripheral level; the level removed first sits at
-the bottom of the hierarchy.
+the bottom of the hierarchy. A result stores only its stages: core, levels
+and step count are read off them, so a restriction filters the stages.
 """
 
 from __future__ import annotations
@@ -52,25 +53,36 @@ def min_degree_rule(m: RfMatrix) -> frozenset:
 @dataclass(frozen=True)
 class TraceStep:
     """Degree table of one stage; removed lists the nodes the next reduction
-    drops (empty on the final stage)."""
+    drops (empty on the final stage). A stage's number is its position in
+    the trace."""
 
-    step: int
     degrees: dict[str, int]
     removed: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class HierarchyResult:
-    """Core plus peripheral levels.
+    """The stages of a sequential reduction; everything else is read off them.
 
-    levels[0] is the level removed last before the core froze; levels[-1]
-    was removed first. Core and levels partition the original label set.
+    The core is the last stage's label set. Each stage that removed nodes
+    gives one level: levels[0] is the level removed last before the core
+    froze, levels[-1] was removed first. Core and levels partition the
+    original label set.
     """
 
-    core: tuple[str, ...]
-    levels: tuple[tuple[str, ...], ...]
     trace: tuple[TraceStep, ...]
-    step_count: int
+
+    @property
+    def core(self) -> tuple[str, ...]:
+        return tuple(self.trace[-1].degrees)
+
+    @property
+    def levels(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(t.removed for t in reversed(self.trace) if t.removed)
+
+    @property
+    def step_count(self) -> int:
+        return len(self.trace) - 1
 
     @property
     def all_labels(self) -> tuple[str, ...]:
@@ -80,16 +92,17 @@ class HierarchyResult:
         return tuple(out)
 
     def to_json_dict(self) -> dict:
-        n = len(self.levels)
+        removed_first = [t.removed for t in self.trace if t.removed]
+        n = len(removed_first)
         return {
             "core": list(self.core),
             "levels": [
                 {"rank": n - i, "members": list(members)}
-                for i, members in enumerate(reversed(self.levels))
+                for i, members in enumerate(removed_first)
             ],
             "trace": [
-                {"step": t.step, "degrees": dict(t.degrees), "removed": list(t.removed)}
-                for t in self.trace
+                {"step": step, "degrees": dict(t.degrees), "removed": list(t.removed)}
+                for step, t in enumerate(self.trace)
             ],
         }
 
@@ -106,38 +119,29 @@ def sequential_reduce(m: RfMatrix, rule: SelectionRule = min_degree_rule) -> Hie
         raise ValueError("cannot reduce an empty matrix")
     current = m
     trace: list[TraceStep] = []
-    removals: list[tuple[str, ...]] = []
-    step = 0
     while True:
         degrees = {lab: row_degree(current, lab) for lab in current.labels}
         keep = frozenset(rule(current))
         if not keep <= set(current.labels):
             raise ValueError("selection rule returned labels outside the matrix")
         if not keep or keep == set(current.labels):
-            trace.append(TraceStep(step, degrees, ()))
+            trace.append(TraceStep(degrees, ()))
             break
         removed = tuple(lab for lab in current.labels if lab not in keep)
-        trace.append(TraceStep(step, degrees, removed))
+        trace.append(TraceStep(degrees, removed))
         current = isored.reduce(current, keep).reduced
-        removals.append(removed)
-        step += 1
-    result = HierarchyResult(
-        core=current.labels,
-        levels=tuple(reversed(removals)),
-        trace=tuple(trace),
-        step_count=len(removals),
-    )
+    result = HierarchyResult(tuple(trace))
     if sorted(result.all_labels) != sorted(m.labels):
         raise RuntimeError("core and levels do not partition the input labels")
     return result
 
 
 def restrict_hierarchy(h: HierarchyResult, subset: Iterable[str]) -> HierarchyResult:
-    """Intersect the core and every level with subset, dropping empty levels.
+    """Filter every stage to subset; core and levels follow from the stages.
 
     Relative level order is preserved, and nodes that shared a level still
-    do. The trace is filtered to the surviving labels. Raises ValueError
-    when subset is empty or names a label outside the hierarchy.
+    do; levels left empty drop out. Raises ValueError when subset is empty
+    or names a label outside the hierarchy.
     """
     keep = set(subset)
     if not keep:
@@ -146,18 +150,12 @@ def restrict_hierarchy(h: HierarchyResult, subset: Iterable[str]) -> HierarchyRe
     if unknown:
         names = ", ".join(repr(lab) for lab in sorted(unknown))
         raise ValueError(f"unknown node label in the restriction: {names}")
-    core = tuple(lab for lab in h.core if lab in keep)
-    levels = tuple(
-        filtered
-        for level in h.levels
-        if (filtered := tuple(lab for lab in level if lab in keep))
-    )
-    trace = tuple(
-        TraceStep(
-            t.step,
-            {lab: d for lab, d in t.degrees.items() if lab in keep},
-            tuple(lab for lab in t.removed if lab in keep),
+    return HierarchyResult(
+        tuple(
+            TraceStep(
+                {lab: d for lab, d in t.degrees.items() if lab in keep},
+                tuple(lab for lab in t.removed if lab in keep),
+            )
+            for t in h.trace
         )
-        for t in h.trace
     )
-    return HierarchyResult(core=core, levels=levels, trace=trace, step_count=h.step_count)

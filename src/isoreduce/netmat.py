@@ -25,7 +25,6 @@ __all__ = [
     "mode_convert",
     "parse_incidence_csv",
     "load_incidence",
-    "incidence_to_csv",
 ]
 
 
@@ -110,7 +109,7 @@ def _as_ratfun(value) -> RatFun:
     if isinstance(value, RatFun):
         return value
     if isinstance(value, (int, Fraction)):
-        return RatFun.constant(value)
+        return RatFun(value)
     raise TypeError(f"matrix entries must be RatFun or exact numbers, got {type(value).__name__}")
 
 
@@ -194,7 +193,7 @@ def bipartite_adjacency(data: IncidenceData) -> RfMatrix:
 def _gram(labels: Sequence[str], rows: Sequence[Sequence]) -> RfMatrix:
     """The matrix of dot products of every pair of rows, as exact constants."""
     return RfMatrix(
-        labels, [[RatFun.constant(sum(x * y for x, y in zip(u, v))) for v in rows] for u in rows]
+        labels, [[RatFun(sum(x * y for x, y in zip(u, v))) for v in rows] for u in rows]
     )
 
 
@@ -346,11 +345,3 @@ def parse_incidence_csv(text: str) -> IncidenceData:
 def load_incidence(path: str | Path) -> IncidenceData:
     return parse_incidence_csv(Path(path).read_text(encoding="utf-8"))
 
-
-def incidence_to_csv(data: IncidenceData) -> str:
-    lines = ["name," + ",".join(data.col_labels)]
-    if data.dates is not None:
-        lines.append("date," + ",".join(f"{d.month}/{d.day}" for d in data.dates))
-    for label, row in zip(data.row_labels, data.matrix):
-        lines.append(label + "," + ",".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"

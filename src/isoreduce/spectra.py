@@ -5,6 +5,8 @@ removed block must be a root of det(reduced(x) - x I). The check clears
 that determinant's poles with the removed block's eigenvalues, divides out
 the other eigenvalues, and sums it all in log space so nothing overflows.
 A residual near machine precision certifies the root; order one refutes it.
+A report stores one check per eigenvalue of the full matrix; the full
+spectrum and the verdict are read off the checks.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ __all__ = ["ConvergenceError", "EigenCheck", "SpectrumReport", "sym_eigenvalues"
 
 _EIG_TOL = 1e-12
 _SWEEP_CAP = 100
+_EXCLUSION_GAP = 1e-6
+_LOG_CAP = 700.0  # exp(700) < the largest double: capped residuals stay finite and fail
 
 
 class ConvergenceError(RuntimeError):
@@ -121,19 +125,24 @@ class EigenCheck:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    eigenvalues_full: tuple[float, ...]
+    """One check per eigenvalue of the full matrix, ascending. The full
+    spectrum is the checks' eigenvalues; the report passes when every check
+    is excluded or has a residual below the tolerance."""
+
     eigenvalues_removed_block: tuple[float, ...]
     checks: tuple[EigenCheck, ...]
     tolerance: float
-    exclusion_gap: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return all(c.excluded or c.residual < self.tolerance for c in self.checks)
 
     def to_json_dict(self) -> dict:
         return {
-            "eigenvalues_full": list(self.eigenvalues_full),
+            "eigenvalues_full": [c.eigenvalue for c in self.checks],
             "eigenvalues_removed_block": list(self.eigenvalues_removed_block),
             "tolerance": self.tolerance,
-            "exclusion_gap": self.exclusion_gap,
+            "exclusion_gap": _EXCLUSION_GAP,
             "passed": self.passed,
             "checks": [
                 {
@@ -150,10 +159,6 @@ def _float_matrix(m: RfMatrix) -> list[list[float]]:
     if not m.is_constant():
         raise ValueError("spectrum verification requires a constant (x-free) matrix")
     return [[float(v.as_fraction()) for v in row] for row in m.entries]
-
-
-_EXCLUSION_GAP = 1e-6
-_LOG_CAP = 700.0  # exp(700) < the largest double: capped residuals stay finite and fail
 
 
 def verify_spectrum(m: RfMatrix, s: Iterable[str], tol: float = 1e-6) -> SpectrumReport:
@@ -173,10 +178,15 @@ def verify_spectrum(m: RfMatrix, s: Iterable[str], tol: float = 1e-6) -> Spectru
     the characteristic polynomial's slope, leaving the distance from e to the
     nearest actual root. It is summed as logs of the LU pivots and the
     distances, capped at exp(700), and 0.0 if the LU is singular.
+
+    Kept labels are checked in the order given, so an unknown label raises
+    ValueError naming the first one, before any float work.
     """
-    wanted = dict.fromkeys(s)  # ordered, so reduce names the first unknown label given
+    wanted = dict.fromkeys(s)  # ordered, so the first unknown label given is named
     if not wanted:
         raise ValueError("the kept node set must not be empty")
+    for lab in wanted:
+        m.index(lab)  # an unknown label raises here, before any float work
     if wanted.keys() >= set(m.labels):
         raise ValueError("verification requires a proper subset of the labels")
     full = _float_matrix(m)
@@ -193,7 +203,6 @@ def verify_spectrum(m: RfMatrix, s: Iterable[str], tol: float = 1e-6) -> Spectru
     reduced = isored.reduce(m, wanted).reduced
     n = len(reduced)
     checks: list[EigenCheck] = []
-    passed = True
     for lam in eig_full:
         if eig_removed and min(abs(lam - mu) for mu in eig_removed) < _EXCLUSION_GAP:
             checks.append(EigenCheck(lam, True, math.nan))
@@ -214,15 +223,6 @@ def verify_spectrum(m: RfMatrix, s: Iterable[str], tol: float = 1e-6) -> Spectru
                 - sum(math.log(abs(e - lam)) for e in eig_full if abs(e - lam) > _EXCLUSION_GAP)
             )
             residual = math.exp(min(log_residual, _LOG_CAP))
-        if not residual < tol:
-            passed = False
         checks.append(EigenCheck(lam, False, residual))
 
-    return SpectrumReport(
-        eigenvalues_full=tuple(eig_full),
-        eigenvalues_removed_block=tuple(eig_removed),
-        checks=tuple(checks),
-        tolerance=tol,
-        exclusion_gap=_EXCLUSION_GAP,
-        passed=passed,
-    )
+    return SpectrumReport(tuple(eig_removed), tuple(checks), tol)

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from isoreduce import cli, isored, spectra
-from isoreduce.cli import matrix_from_csv, matrix_to_csv, matrix_to_dot, parse_args
-from isoreduce.netmat import bipartite_adjacency, project_rows
+from isoreduce.cli import matrix_to_csv, matrix_to_dot, parse_args
+from isoreduce.exactnum import ratfun_from_str
+from isoreduce.netmat import RfMatrix, bipartite_adjacency, project_rows
 
 # The bundled dataset is a reviewed transcription; any edit must be deliberate.
 DGG_SHA256 = "b81d316e66ca44d1c6fc3fb60940ad3753b0c6967d640955dbe3c40f5ddd0b7d"
@@ -93,10 +95,18 @@ def test_hierarchy_restrict_unknown_label_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def _csv_cells(text):
+    """Header labels and the grid of cells of a matrix CSV."""
+    rows = [line.split(",") for line in text.splitlines()]
+    assert rows[0][0] == "name" and [cells[0] for cells in rows[1:]] == rows[0][1:]
+    return rows[0][1:], [cells[1:] for cells in rows[1:]]
+
+
 def test_project_round_trip(tmp_path, dgg):
     out = tmp_path / "w2w.csv"
     assert cli.main(["project", "--mode", "rows", "--output", str(out)]) == 0
-    parsed = matrix_from_csv(out.read_text())
+    labels, cells = _csv_cells(out.read_text())
+    parsed = RfMatrix(labels, [[ratfun_from_str(c) for c in row] for row in cells])
     assert parsed == project_rows(dgg)
 
 
@@ -217,6 +227,23 @@ def test_reproduce_bundled(capsys):
     assert "all sections match the checked-in expectations" in out
 
 
+def test_reproduce_mismatch_names_its_section(monkeypatch, capsys):
+    bundle_of = cli.compute_bundle
+
+    def one_count_off(data, groups):
+        bundle = bundle_of(data, groups)
+        bundle["series"]["G1/joint_events"]["counts"][0] += 1
+        return bundle
+
+    monkeypatch.setattr(cli, "compute_bundle", one_count_off)
+    assert cli.main(["reproduce"]) == cli.EXIT_MISMATCH == 2
+    lines = capsys.readouterr().out.splitlines()
+    sections = json.loads(_data_bytes("expected_dgg.json"))
+    assert len(sections) > 1
+    for section in sections:
+        assert f"{section}: {'MISMATCH' if section == 'series' else 'ok'}" in lines
+
+
 def test_reproduce_as_module_child_process(tmp_path):
     # The __main__ -> entrypoint -> sys.exit path, run as the benchmark runs it.
     src = Path(__file__).resolve().parents[1] / "src"
@@ -242,20 +269,7 @@ def test_deterministic_output(tmp_path):
 # -- emitters ------------------------------------------------------------------------
 
 
-def test_matrix_csv_rejects_garbage():
-    with pytest.raises(ValueError):
-        matrix_from_csv("nope,a\n")
-    with pytest.raises(ValueError):
-        matrix_from_csv("name,a\nb,1,2\n")
-    # rows swapped against the header, and rows the header does not name
-    for text in ("name,a,b\nb,1,0\na,0,2\n", "name,a,b\nzz,1,0\nqq,0,2\n"):
-        with pytest.raises(ValueError):
-            matrix_from_csv(text)
-
-
 def test_dot_directed_when_asymmetric():
-    from isoreduce.netmat import RfMatrix
-
     m = RfMatrix(("a", "b"), [[0, 1], [0, 0]])
     text = matrix_to_dot(m)
     assert text.startswith("digraph reduced {\n")
@@ -265,4 +279,68 @@ def test_dot_directed_when_asymmetric():
 def test_matrix_csv_round_trip_preserves_text(dgg):
     m = project_rows(dgg)
     text = matrix_to_csv(m)
-    assert matrix_to_csv(matrix_from_csv(text)) == text
+    labels, cells = _csv_cells(text)
+    parsed = RfMatrix(labels, [[ratfun_from_str(c) for c in row] for row in cells])
+    assert matrix_to_csv(parsed) == text
+
+
+# -- exact outputs ---------------------------------------------------------------
+
+BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
+
+# The keep set of the benchmark's block-reduce-verify workload: a 16-node elimination.
+BLOCK_KEEP = "W_1 W_2 W_5 W_6 W_8 W_10 W_11 W_12 W_14 W_17 W_18 E_2 E_5 E_9 E_11 E_13"
+
+# sha256 of each output file. verify is left out: its residuals go through libm
+# log/exp, whose last bit may differ between platforms.
+EXACT_OUTPUTS = {
+    "hierarchy-bipartite": "b82bea04dd4ecd9dfb7af37d0d18d08166f69fe1514f7882775126c2e41bbf3b",
+    "hierarchy-rows": "7c8f87893d68748e4cb496dda0e8c91cd7008ad5def70b87b2a2b68e8dd6563a",
+    "hierarchy-cols": "a2460acb200bcba6aaf683f963d0a27906b6646bddd5b8aa6d6984ee4aa76b82",
+    "hierarchy-synth": "5ffebd9a01b49c6d8ae3861159c168c9a2c27cc76743f6bb346b5cc9af82b172",
+    "hierarchy-restrict": "b5450c4dc9996e4ad3d9f5c8638374c20c2364e47e8bfa9a33258ab14aaf57a9",
+    "reduce-json": "312fdf264458202ed06eab4c48ae9d8ab3b7187c964b3d4115dca43c129677ed",
+    "reduce-dot": "19f7ebeb668ffa5f06f9230ab1d428a010f08f8529852b8aecedc774967b215f",
+    "project-rows": "17cef80de08c0f75fca745f70659320333172e0102637d6a29180d10c4b80583",
+    "project-cols": "6d4c5a90aff034aa496393fda64b78bd864237001b4d168e382b685f8a7ffeda",
+    "dynamics-csv": "5c1a4fec369be243bc653422de5ae5e18c23446bf6522be479afbf3f707825e5",
+    "dynamics-summary": "0a018a8a07b9c4d189b09e49b6043c00cc76135ea182c0e321821879eb8ce9d8",
+}
+
+
+def _synth_incidence_csv(monkeypatch, path):
+    # read bench/ without leaving a bytecode cache behind in it
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_inputs", BENCH_INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    grid = inputs.random_incidence(inputs.INSTANCE_SEED, inputs.ROWS, inputs.COLS, inputs.DENSITY)
+    rows = [f"r{i:02d}" for i in range(inputs.ROWS)]
+    cols = [f"c{j:02d}" for j in range(inputs.COLS)]
+    path.write_text(inputs.incidence_csv(rows, cols, grid), encoding="utf-8")
+
+
+def test_exact_outputs_unchanged(tmp_path, monkeypatch):
+    synth, keep, four = tmp_path / "synth.csv", tmp_path / "keep.txt", tmp_path / "four.txt"
+    _synth_incidence_csv(monkeypatch, synth)
+    keep.write_text("\n".join(BLOCK_KEEP.split()) + "\n")
+    four.write_text("W_1\nW_14\nE_5\nE_14\n")
+    commands = {
+        "hierarchy-bipartite": ["hierarchy"],
+        "hierarchy-rows": ["hierarchy", "--mode", "rows"],
+        "hierarchy-cols": ["hierarchy", "--mode", "cols"],
+        "hierarchy-synth": ["hierarchy", "--input", str(synth)],
+        "hierarchy-restrict": ["hierarchy", "--restrict", str(four)],
+        "reduce-json": ["reduce", "--keep", str(keep)],
+        "reduce-dot": ["reduce", "--keep", str(keep), "--format", "dot"],
+        "project-rows": ["project", "--mode", "rows"],
+        "project-cols": ["project", "--mode", "cols"],
+        "dynamics-csv": ["dynamics", "--summary", str(tmp_path / "dynamics-summary")],
+    }
+    for name, argv in commands.items():
+        assert cli.main([*argv, "--output", str(tmp_path / name)]) == 0, name
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in [*commands, "dynamics-summary"]
+    }
+    assert got == EXACT_OUTPUTS

@@ -87,9 +87,9 @@ def test_dgg_levels_exact(dgg_hierarchy):
 
 def test_dgg_trace_cell_for_cell(dgg_hierarchy):
     assert len(dgg_hierarchy.trace) == 8
-    for t in dgg_hierarchy.trace:
-        assert t.degrees == exp.TRACE_DEGREES[t.step]
-        assert t.removed == exp.TRACE_REMOVED[t.step]
+    for step, t in enumerate(dgg_hierarchy.trace):
+        assert t.degrees == exp.TRACE_DEGREES[step]
+        assert t.removed == exp.TRACE_REMOVED[step]
 
 
 def test_partition_and_shrinkage_properties():

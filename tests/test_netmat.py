@@ -8,7 +8,6 @@ from isoreduce.netmat import (
     IncidenceFormatError,
     RfMatrix,
     bipartite_adjacency,
-    incidence_to_csv,
     mode_convert,
     parse_incidence_csv,
     project_cols,
@@ -196,11 +195,6 @@ def test_bundled_csv_parses(dgg):
     assert dgg.dates is not None
     assert dgg.date_of("E_11") == datetime.date(1936, 1, 23)
     assert dgg.date_of("E_14") == datetime.date(1936, 11, 21)
-
-
-def test_csv_round_trip(dgg):
-    again = parse_incidence_csv(incidence_to_csv(dgg))
-    assert again == dgg
 
 
 def test_csv_without_dates():

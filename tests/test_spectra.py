@@ -6,7 +6,7 @@ import pytest
 import sympy
 
 from isoreduce.exactnum import Polynomial, RatFun
-from isoreduce import isored
+from isoreduce import isored, spectra
 from isoreduce.isored import ReductionResult, reduce
 from isoreduce.netmat import RfMatrix
 from isoreduce.spectra import eval_det, sym_eigenvalues, verify_spectrum
@@ -309,11 +309,19 @@ def test_verify_requires_proper_subset():
         verify_spectrum(path3(), ())
 
 
-def test_verify_names_first_unknown_label():
-    # verify hands reduce its labels in the order given, not as a set
+def test_verify_names_first_unknown_label(monkeypatch):
+    # labels are checked in the order given, not as a set
     unknown = [f"zz{i}" for i in range(10)]
     with pytest.raises(ValueError, match="unknown node label 'zz0'"):
         verify_spectrum(path3(), ["1", *unknown])
+    # before the proper-subset check, and before any eigenvalue is computed
+    def no_float_work(matrix):
+        raise AssertionError("eigenvalues computed for an unknown label")
+
+    monkeypatch.setattr(spectra, "sym_eigenvalues", no_float_work)
+    for keep in (["1", "2", "3", "zz"], ["1", "zz"]):
+        with pytest.raises(ValueError, match="unknown node label 'zz'"):
+            verify_spectrum(path3(), keep)
 
 
 def test_verify_rejects_nonconstant_matrix():
