@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from importlib import resources
 from pathlib import Path
 
 from . import dynamics as dyn
@@ -38,8 +37,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _data_path(name: str):
-    return resources.files("isoreduce").joinpath("data", name)
+def _data_path(name: str) -> Path:
+    return Path(__file__).with_name("data") / name
 
 
 def _add_common(p, with_mode=True):
@@ -66,7 +65,7 @@ def _tolerance(text: str) -> float:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="isoreduce", description=__doc__)
-    sub = parser.add_subparsers(dest="subcommand", metavar="COMMAND")
+    sub = parser.add_subparsers(dest="subcommand", metavar="COMMAND", required=True)
 
     p = sub.add_parser("reduce", help="one isospectral reduction over a kept node set")
     _add_common(p)
@@ -92,25 +91,22 @@ def _build_parser() -> _Parser:
     p.add_argument("--tol", dest="tolerance", type=_tolerance, default=1e-6)
 
     p = sub.add_parser("reproduce", help="recompute the bundled dataset's results and diff")
-    _add_common(p, with_mode=False)
+    p.add_argument("--output", help="path for the recomputed results JSON (default: not written)")
 
     return parser
 
 
 def parse_args(argv) -> argparse.Namespace:
-    cfg = _build_parser().parse_args(argv)
-    if cfg.subcommand is None:
-        raise UsageError("a subcommand is required")
-    return cfg
+    return _build_parser().parse_args(argv)
 
 
 # -- shared helpers ------------------------------------------------------------
 
 
-def _load_input(cfg: argparse.Namespace) -> IncidenceData:
-    if cfg.input is None:
+def _load_input(path: str | None) -> IncidenceData:
+    if path is None:
         return netmat.parse_incidence_csv(_data_path("dgg.csv").read_text(encoding="utf-8"))
-    return netmat.load_incidence(cfg.input)
+    return netmat.load_incidence(path)
 
 
 def _build_matrix(data: IncidenceData, mode: str) -> RfMatrix:
@@ -143,10 +139,14 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _entry_texts(m: RfMatrix) -> list[list[str]]:
+    return [[ratfun_to_str(v) for v in row] for row in m.entries]
+
+
 def matrix_to_csv(m: RfMatrix) -> str:
     lines = ["name," + ",".join(m.labels)]
-    for label, row in zip(m.labels, m.entries):
-        lines.append(label + "," + ",".join(ratfun_to_str(v) for v in row))
+    for label, row in zip(m.labels, _entry_texts(m)):
+        lines.append(label + "," + ",".join(row))
     return "\n".join(lines) + "\n"
 
 
@@ -171,33 +171,75 @@ def matrix_to_dot(m: RfMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def reduction_json(r: isored.ReductionResult) -> dict:
+    return {
+        "labels": list(r.reduced.labels),
+        "entries": _entry_texts(r.reduced),
+        "removed": list(r.removed),
+    }
+
+
+def _trace_json(h: hier.HierarchyResult) -> list[dict]:
+    return [
+        {"step": step, "degrees": dict(t.degrees), "removed": list(t.removed)}
+        for step, t in enumerate(h.trace)
+    ]
+
+
+def hierarchy_json(h: hier.HierarchyResult) -> dict:
+    ranked = list(enumerate(h.levels, start=1))  # rank 1 borders the core
+    return {
+        "core": list(h.core),
+        "levels": [{"rank": k, "members": list(level)} for k, level in reversed(ranked)],
+        "trace": _trace_json(h),
+    }
+
+
+def spectrum_json(r: spectra.SpectrumReport) -> dict:
+    return {
+        "eigenvalues_full": [c.eigenvalue for c in r.checks],
+        "eigenvalues_removed_block": list(r.eigenvalues_removed_block),
+        "tolerance": r.tolerance,
+        "exclusion_gap": spectra.EXCLUSION_GAP,
+        "passed": r.passed,
+        "checks": [
+            {
+                "eigenvalue": c.eigenvalue,
+                "excluded": c.excluded,
+                "residual": None if math.isnan(c.residual) else c.residual,
+            }
+            for c in r.checks
+        ],
+    }
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
 def _cmd_reduce(cfg: argparse.Namespace) -> int:
-    data = _load_input(cfg)
+    data = _load_input(cfg.input)
     m = _build_matrix(data, cfg.mode)
     keep = _read_labels(cfg.keep)
     result = isored.reduce(m, keep)
     if cfg.fmt == "dot":
         _emit(matrix_to_dot(result.reduced), cfg.output)
     else:
-        _emit(_json_text(result.to_json_dict()), cfg.output)
+        _emit(_json_text(reduction_json(result)), cfg.output)
     return EXIT_OK
 
 
 def _cmd_hierarchy(cfg: argparse.Namespace) -> int:
-    data = _load_input(cfg)
+    data = _load_input(cfg.input)
     m = _build_matrix(data, cfg.mode)
     result = hier.sequential_reduce(m)
     if cfg.restrict:
         result = hier.restrict_hierarchy(result, _read_labels(cfg.restrict))
-    _emit(_json_text(result.to_json_dict()), cfg.output)
+    _emit(_json_text(hierarchy_json(result)), cfg.output)
     return EXIT_OK
 
 
 def _cmd_project(cfg: argparse.Namespace) -> int:
-    data = _load_input(cfg)
+    data = _load_input(cfg.input)
     m = _build_matrix(data, cfg.mode)
     _emit(matrix_to_csv(m), cfg.output)
     return EXIT_OK
@@ -211,11 +253,8 @@ def _names_to_label_lists(obj) -> bool:
 
 
 def _load_groups(path: str | None) -> dict:
-    if path is None:
-        text = _data_path("dgg_groups.json").read_text(encoding="utf-8")
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    spec = json.loads(text)
+    source = _data_path("dgg_groups.json") if path is None else Path(path)
+    spec = json.loads(source.read_text(encoding="utf-8"))
     if not (
         isinstance(spec, dict)
         and _names_to_label_lists(spec.get("groups"))
@@ -246,7 +285,7 @@ def _series_json(counts: tuple[int, ...]) -> dict:
 
 
 def _cmd_dynamics(cfg: argparse.Namespace) -> int:
-    data = _load_input(cfg)
+    data = _load_input(cfg.input)
     if data.dates is None:
         raise ValueError("dynamics requires an incidence file with a date row")
     lines = ["group,event_class,event,date,count"]
@@ -262,11 +301,11 @@ def _cmd_dynamics(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_verify(cfg: argparse.Namespace) -> int:
-    data = _load_input(cfg)
+    data = _load_input(cfg.input)
     m = _build_matrix(data, cfg.mode)
     keep = _read_labels(cfg.keep)
     report = spectra.verify_spectrum(m, keep, tol=cfg.tolerance)
-    _emit(_json_text(report.to_json_dict()), cfg.output)
+    _emit(_json_text(spectrum_json(report)), cfg.output)
     return EXIT_OK if report.passed else EXIT_MISMATCH
 
 
@@ -294,7 +333,7 @@ def compute_bundle(data: IncidenceData, groups: dict) -> dict:
     }
     bundle = {
         "hierarchy": _hier_summary(h),
-        "trace": h.to_json_dict()["trace"],
+        "trace": _trace_json(h),
         "restricted_to_rows": _hier_summary(hier.restrict_hierarchy(h, women)),
         "restricted_to_cols": _hier_summary(hier.restrict_hierarchy(h, events)),
         "restricted_groups": {
@@ -341,7 +380,7 @@ def _diff(expected, got, path="") -> list[str]:
 
 
 def _cmd_reproduce(cfg: argparse.Namespace) -> int:
-    data = _load_input(cfg)
+    data = _load_input(None)
     bundle = compute_bundle(data, _load_groups(None))
     expected = json.loads(_data_path("expected_dgg.json").read_text(encoding="utf-8"))
     if cfg.output:

@@ -75,12 +75,6 @@ def classify_activity(data: IncidenceData) -> tuple[frozenset, frozenset]:
     return active, popular
 
 
-def _level_names(h: HierarchyResult) -> list[tuple[str, tuple[str, ...]]]:
-    named = [("core", h.core)]
-    named.extend((f"h_{k}", level) for k, level in enumerate(h.levels, start=1))
-    return named
-
-
 def level_mean_attendance(
     data: IncidenceData, h: HierarchyResult
 ) -> dict[str, dict[str, Fraction]]:
@@ -91,8 +85,10 @@ def level_mean_attendance(
     """
     rows = set(data.row_labels)
     cols = set(data.col_labels)
+    named = [("core", h.core)]
+    named.extend((f"h_{k}", level) for k, level in enumerate(h.levels, start=1))
     out: dict[str, dict[str, Fraction]] = {}
-    for name, members in _level_names(h):
+    for name, members in named:
         row_members = [lab for lab in members if lab in rows]
         col_members = [lab for lab in members if lab in cols]
         unknown = [lab for lab in members if lab not in rows and lab not in cols]

@@ -65,8 +65,6 @@ class RatFun:
         den = _coerce_rf(den)
         if den is None:
             raise TypeError("denominator must be a RatFun or exact number")
-        if not den._n:
-            raise ZeroDivisionError("rational function with zero denominator")
         return f / den
 
     def __setattr__(self, name, value):
@@ -393,20 +391,14 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 #   coef    := int | int "/" int                       exact p/q, q > 0
 
 
-def _frac_str(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
-
-
 def _term_str(c: Fraction, k: int) -> str:
     # c is positive here; the caller renders signs.
     if k == 0:
-        return _frac_str(c)
+        return str(c)
     power = "x" if k == 1 else f"x^{k}"
     if c == 1:
         return power
-    return f"{_frac_str(c)}*{power}"
+    return f"{c}*{power}"
 
 
 def _poly_to_str(p: Polynomial) -> str:

@@ -91,21 +91,6 @@ class HierarchyResult:
             out.extend(level)
         return tuple(out)
 
-    def to_json_dict(self) -> dict:
-        removed_first = [t.removed for t in self.trace if t.removed]
-        n = len(removed_first)
-        return {
-            "core": list(self.core),
-            "levels": [
-                {"rank": n - i, "members": list(members)}
-                for i, members in enumerate(removed_first)
-            ],
-            "trace": [
-                {"step": step, "degrees": dict(t.degrees), "removed": list(t.removed)}
-                for step, t in enumerate(self.trace)
-            ],
-        }
-
 
 def sequential_reduce(m: RfMatrix, rule: SelectionRule = min_degree_rule) -> HierarchyResult:
     """Reduce m under the rule until the rule keeps nothing or everything.

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .exactnum import RatFun, ratfun_to_str
+from .exactnum import RatFun
 from .netmat import RfMatrix
 
 __all__ = ["SingularMatrixError", "ReductionResult", "invert_over_field", "reduce"]
@@ -83,19 +83,13 @@ class ReductionResult:
     reduced: RfMatrix
     removed: tuple[str, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "labels": list(self.reduced.labels),
-            "entries": [[ratfun_to_str(v) for v in row] for row in self.reduced.entries],
-            "removed": list(self.removed),
-        }
-
 
 def reduce(m: RfMatrix, s: Iterable[str]) -> ReductionResult:
     """Reduce m over the kept node set s, exactly.
 
-    s must be a nonempty subset of m's labels; kept labels retain m's label
-    order. With s equal to all labels the matrix is returned unchanged.
+    s must be a nonempty subset of m's labels, else ValueError naming the
+    first unknown label in s's order; kept labels retain m's label order.
+    With s equal to all labels the matrix is returned unchanged.
 
     The removed nodes go one at a time, in label order: removing r sets
     e_ij <- e_ij - e_ir e_rj / (e_rr - x) on the surviving entries, skipping

@@ -19,11 +19,11 @@ from . import isored
 from .exactnum import RatFun
 from .netmat import RfMatrix
 
-__all__ = ["ConvergenceError", "EigenCheck", "SpectrumReport", "sym_eigenvalues", "eval_det", "verify_spectrum"]
+__all__ = ["EXCLUSION_GAP", "ConvergenceError", "EigenCheck", "SpectrumReport", "sym_eigenvalues", "eval_det", "verify_spectrum"]
 
 _EIG_TOL = 1e-12
 _SWEEP_CAP = 100
-_EXCLUSION_GAP = 1e-6
+EXCLUSION_GAP = 1e-6
 _LOG_CAP = 700.0  # exp(700) < the largest double: capped residuals stay finite and fail
 
 
@@ -137,34 +137,11 @@ class SpectrumReport:
     def passed(self) -> bool:
         return all(c.excluded or c.residual < self.tolerance for c in self.checks)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "eigenvalues_full": [c.eigenvalue for c in self.checks],
-            "eigenvalues_removed_block": list(self.eigenvalues_removed_block),
-            "tolerance": self.tolerance,
-            "exclusion_gap": _EXCLUSION_GAP,
-            "passed": self.passed,
-            "checks": [
-                {
-                    "eigenvalue": c.eigenvalue,
-                    "excluded": c.excluded,
-                    "residual": None if math.isnan(c.residual) else c.residual,
-                }
-                for c in self.checks
-            ],
-        }
-
-
-def _float_matrix(m: RfMatrix) -> list[list[float]]:
-    if not m.is_constant():
-        raise ValueError("spectrum verification requires a constant (x-free) matrix")
-    return [[float(v.as_fraction()) for v in row] for row in m.entries]
-
 
 def verify_spectrum(m: RfMatrix, s: Iterable[str], tol: float = 1e-6) -> SpectrumReport:
     """Certify that reducing m over s preserves the spectrum.
 
-    Eigenvalues of m that fall within _EXCLUSION_GAP of the removed block's
+    Eigenvalues of m that fall within EXCLUSION_GAP of the removed block's
     spectrum sit on poles of the reduced entries and are excluded from the
     check; there the residual is meaningless and recorded as NaN.
 
@@ -179,20 +156,22 @@ def verify_spectrum(m: RfMatrix, s: Iterable[str], tol: float = 1e-6) -> Spectru
     nearest actual root. It is summed as logs of the LU pivots and the
     distances, capped at exp(700), and 0.0 if the LU is singular.
 
-    Kept labels are checked in the order given, so an unknown label raises
-    ValueError naming the first one, before any float work.
+    isored.reduce checks the kept set before any float work, naming the
+    first unknown label given; a reduction that does not keep exactly the
+    requested labels raises RuntimeError.
     """
-    wanted = dict.fromkeys(s)  # ordered, so the first unknown label given is named
-    if not wanted:
-        raise ValueError("the kept node set must not be empty")
-    for lab in wanted:
-        m.index(lab)  # an unknown label raises here, before any float work
-    if wanted.keys() >= set(m.labels):
-        raise ValueError("verification requires a proper subset of the labels")
-    full = _float_matrix(m)
+    if not m.is_constant():
+        raise ValueError("spectrum verification requires a constant (x-free) matrix")
     if not m.is_symmetric():
         raise ValueError("spectrum verification requires a symmetric matrix")
+    wanted = dict.fromkeys(s)
+    reduced = isored.reduce(m, wanted).reduced
+    if wanted.keys() >= set(m.labels):
+        raise ValueError("verification requires a proper subset of the labels")
+    if list(reduced.labels) != [lab for lab in m.labels if lab in wanted]:
+        raise RuntimeError("the reduction did not keep exactly the requested labels")
 
+    full = [[float(v.as_fraction()) for v in row] for row in m.entries]
     removed = [lab for lab in m.labels if lab not in wanted]
     ri = [m.index(lab) for lab in removed]
     block = [[full[a][b] for b in ri] for a in ri]
@@ -200,11 +179,10 @@ def verify_spectrum(m: RfMatrix, s: Iterable[str], tol: float = 1e-6) -> Spectru
     eig_full = sym_eigenvalues(full)
     eig_removed = sym_eigenvalues(block)
 
-    reduced = isored.reduce(m, wanted).reduced
     n = len(reduced)
     checks: list[EigenCheck] = []
     for lam in eig_full:
-        if eig_removed and min(abs(lam - mu) for mu in eig_removed) < _EXCLUSION_GAP:
+        if eig_removed and min(abs(lam - mu) for mu in eig_removed) < EXCLUSION_GAP:
             checks.append(EigenCheck(lam, True, math.nan))
             continue
         vals = [
@@ -220,7 +198,7 @@ def verify_spectrum(m: RfMatrix, s: Iterable[str], tol: float = 1e-6) -> Spectru
             log_residual = (
                 sum(math.log(abs(p)) for p in pivots)
                 + sum(math.log(abs(mu - lam)) for mu in eig_removed)
-                - sum(math.log(abs(e - lam)) for e in eig_full if abs(e - lam) > _EXCLUSION_GAP)
+                - sum(math.log(abs(e - lam)) for e in eig_full if abs(e - lam) > EXCLUSION_GAP)
             )
             residual = math.exp(min(log_residual, _LOG_CAP))
         checks.append(EigenCheck(lam, False, residual))

@@ -58,6 +58,7 @@ def test_parse_project():
         ["verify", "--keep", "k.txt", "--tol", "nan"],
         ["verify", "--keep", "k.txt", "--tol", "inf"],
         ["hierarchy", "--year", "1937"],
+        ["reproduce", "--input", "x.csv"],  # reproduce always reads the bundled dataset
     ],
 )
 def test_usage_errors_exit_64(argv, capsys):
@@ -217,6 +218,13 @@ def test_malformed_csv_exit_1(tmp_path, capsys):
     assert "line 2" in err and "column 3" in err
 
 
+def test_dynamics_undated_input_exit_1(tmp_path, capsys):
+    undated = tmp_path / "undated.csv"
+    undated.write_text("name,E_1,E_2\nW_1,1,0\nW_2,1,1\n")
+    assert cli.main(["dynamics", "--input", str(undated)]) == 1
+    assert "error: dynamics requires an incidence file with a date row" in capsys.readouterr().err
+
+
 def test_missing_input_exit_1(tmp_path):
     assert cli.main(["hierarchy", "--input", str(tmp_path / "nope.csv")]) == 1
 
@@ -291,8 +299,10 @@ BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
 # The keep set of the benchmark's block-reduce-verify workload: a 16-node elimination.
 BLOCK_KEEP = "W_1 W_2 W_5 W_6 W_8 W_10 W_11 W_12 W_14 W_17 W_18 E_2 E_5 E_9 E_11 E_13"
 
-# sha256 of each output file. verify is left out: its residuals go through libm
-# log/exp, whose last bit may differ between platforms.
+# sha256 of each output file. A verify report is hashed with each residual
+# replaced by its verdict: residuals go through libm log/exp, whose last bit may
+# differ between platforms, while the Jacobi eigenvalues use only IEEE operations
+# and sqrt.
 EXACT_OUTPUTS = {
     "hierarchy-bipartite": "b82bea04dd4ecd9dfb7af37d0d18d08166f69fe1514f7882775126c2e41bbf3b",
     "hierarchy-rows": "7c8f87893d68748e4cb496dda0e8c91cd7008ad5def70b87b2a2b68e8dd6563a",
@@ -305,6 +315,8 @@ EXACT_OUTPUTS = {
     "project-cols": "6d4c5a90aff034aa496393fda64b78bd864237001b4d168e382b685f8a7ffeda",
     "dynamics-csv": "5c1a4fec369be243bc653422de5ae5e18c23446bf6522be479afbf3f707825e5",
     "dynamics-summary": "0a018a8a07b9c4d189b09e49b6043c00cc76135ea182c0e321821879eb8ce9d8",
+    "verify": "4ecdeed31fc93c4d9a7f562eca992e3db15a0a7fa6010db8861ab44a8f0ac6c9",
+    "verify-tight": "0d78ca4dbe457b1a964860dd739a9c2fbd12e977db575071af0b5c2f6640ce9e",
 }
 
 
@@ -336,9 +348,19 @@ def test_exact_outputs_unchanged(tmp_path, monkeypatch):
         "project-rows": ["project", "--mode", "rows"],
         "project-cols": ["project", "--mode", "cols"],
         "dynamics-csv": ["dynamics", "--summary", str(tmp_path / "dynamics-summary")],
+        "verify": ["verify", "--keep", str(keep)],
+        "verify-tight": ["verify", "--keep", str(keep), "--tol", "1e-30"],
     }
     for name, argv in commands.items():
-        assert cli.main([*argv, "--output", str(tmp_path / name)]) == 0, name
+        code = 2 if name == "verify-tight" else 0
+        assert cli.main([*argv, "--output", str(tmp_path / name)]) == code, name
+    for name in ("verify", "verify-tight"):
+        path = tmp_path / name
+        doc = json.loads(path.read_text())
+        for check in doc["checks"]:
+            if check["residual"] is not None:
+                check["residual"] = check["residual"] < doc["tolerance"]
+        path.write_text(json.dumps(doc, indent=2) + "\n")
     got = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in [*commands, "dynamics-summary"]

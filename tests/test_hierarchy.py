@@ -3,6 +3,7 @@ import random
 import pytest
 
 from isoreduce import isored
+from isoreduce.cli import hierarchy_json
 from isoreduce.exactnum import Polynomial, RatFun
 from isoreduce.hierarchy import (
     min_degree_rule,
@@ -200,7 +201,7 @@ def test_restrict_unknown_label(dgg_hierarchy):
 
 
 def test_hierarchy_json_shape(dgg_hierarchy):
-    doc = dgg_hierarchy.to_json_dict()
+    doc = hierarchy_json(dgg_hierarchy)
     assert doc["core"] == list(exp.CORE)
     assert doc["levels"][0] == {"rank": 7, "members": list(exp.LEVELS[6])}
     assert doc["levels"][-1] == {"rank": 1, "members": ["E_9"]}

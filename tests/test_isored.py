@@ -6,6 +6,7 @@ from sympy import Rational, symbols
 from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 
+from isoreduce.cli import reduction_json
 from isoreduce.exactnum import Polynomial, RatFun, ratfun_from_str
 from isoreduce.isored import SingularMatrixError, invert_over_field, reduce
 from isoreduce.netmat import RfMatrix
@@ -280,7 +281,7 @@ def test_dgg_core_membership(dgg_matrix, dgg_hierarchy):
 
 def test_reduction_result_json_round_trips():
     out = reduce(path3(), ("1", "3"))
-    doc = json.loads(json.dumps(out.to_json_dict()))
+    doc = json.loads(json.dumps(reduction_json(out)))
     assert doc["labels"] == ["1", "3"]
     assert doc["removed"] == ["2"]
     grid = [[ratfun_from_str(cell) for cell in row] for row in doc["entries"]]

@@ -7,6 +7,7 @@ import sympy
 
 from isoreduce.exactnum import Polynomial, RatFun
 from isoreduce import isored, spectra
+from isoreduce.cli import spectrum_json
 from isoreduce.isored import ReductionResult, reduce
 from isoreduce.netmat import RfMatrix
 from isoreduce.spectra import eval_det, sym_eigenvalues, verify_spectrum
@@ -291,7 +292,7 @@ def test_verify_residuals_stay_finite_when_products_overflow(monkeypatch):
     report = verify_spectrum(m, labels[2:])
     assert report.passed
     assert all(math.isfinite(c.residual) for c in report.checks if not c.excluded)
-    json.dumps(report.to_json_dict(), allow_nan=False)
+    json.dumps(spectrum_json(report), allow_nan=False)
 
     # an overflowing residual is capped: finite, and still a failure
     wrong = RfMatrix(labels[2:], [[v + 10**300 * (i == j) for j, v in enumerate(row[2:])]
@@ -324,6 +325,20 @@ def test_verify_names_first_unknown_label(monkeypatch):
             verify_spectrum(path3(), keep)
 
 
+def test_verify_rejects_a_reduction_that_lost_a_label(monkeypatch, dgg_matrix):
+    # an isospectral reduction over any keep set preserves the spectrum, so the
+    # residuals alone pass a reduction that dropped a kept label
+    real = isored.reduce
+
+    def drops_a_label(m, keep):
+        return real(m, sorted(keep, key=m.index)[:-1])
+
+    monkeypatch.setattr(isored, "reduce", drops_a_label)
+    keep = "W_1 W_2 W_5 W_6 W_8 W_10 W_11 W_12 W_14 W_17 W_18 E_2 E_5 E_9 E_11 E_13".split()
+    with pytest.raises(RuntimeError, match="requested labels"):
+        verify_spectrum(dgg_matrix, keep)
+
+
 def test_verify_rejects_nonconstant_matrix():
     m = RfMatrix(("a", "b"), [[RatFun(1, Polynomial.X), 0], [0, 1]])
     with pytest.raises(ValueError):
@@ -332,6 +347,6 @@ def test_verify_rejects_nonconstant_matrix():
 
 def test_report_json(dgg_matrix):
     report = verify_spectrum(path3(), ("1", "3"))
-    doc = report.to_json_dict()
+    doc = spectrum_json(report)
     assert doc["passed"] is True
     assert any(c["excluded"] and c["residual"] is None for c in doc["checks"])

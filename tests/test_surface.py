@@ -2,7 +2,8 @@
 exports) every name it imports, and defines no private top-level name that
 nothing in the package reads, so deleted code leaves nothing stale. The
 package imports only the standard library, and the tests' third-party
-imports are exactly the `test` extra of pyproject.toml."""
+imports are exactly the `test` extra of pyproject.toml. Output layouts have
+one owner: no module but cli.py imports json or defines to_json_dict."""
 
 import ast
 import re
@@ -89,6 +90,15 @@ def _absolute_imports(path: Path) -> set[str]:
 def test_package_imports_only_stdlib(path):
     foreign = _absolute_imports(path) - sys.stdlib_module_names
     assert not foreign, f"imports outside the standard library: {sorted(foreign)}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "cli.py"], ids=lambda p: p.name)
+def test_only_cli_serializes(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert "json" not in _absolute_imports(path), "imports json"
+    assert not any(
+        isinstance(n, ast.FunctionDef) and n.name == "to_json_dict" for n in ast.walk(tree)
+    ), "defines to_json_dict"
 
 
 def test_test_extra_matches_test_imports():
