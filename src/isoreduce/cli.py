@@ -104,9 +104,7 @@ def parse_args(argv) -> argparse.Namespace:
 
 
 def _load_input(path: str | None) -> IncidenceData:
-    if path is None:
-        return netmat.parse_incidence_csv(_data_path("dgg.csv").read_text(encoding="utf-8"))
-    return netmat.load_incidence(path)
+    return netmat.load_incidence(_data_path("dgg.csv") if path is None else path)
 
 
 def _build_matrix(data: IncidenceData, mode: str) -> RfMatrix:
@@ -129,8 +127,6 @@ def _read_labels(path: str) -> list[str]:
 def _emit(text: str, output: str | None):
     if output is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         Path(output).write_text(text, encoding="utf-8")
 
@@ -154,19 +150,16 @@ def matrix_to_dot(m: RfMatrix) -> str:
     """DOT text, graph name ``reduced``, with exact edge weights; self-loops included."""
     symmetric = m.is_symmetric()
     kind, arrow = ("graph", "--") if symmetric else ("digraph", "->")
+    ids = ['"' + label.replace('"', '\\"') + '"' for label in m.labels]
     lines = [f"{kind} reduced {{"]
-    for label in m.labels:
-        lines.append(f'  "{label}";')
-    n = len(m.labels)
+    lines.extend(f"  {node};" for node in ids)
+    n = len(ids)
     for i in range(n):
         start = i if symmetric else 0
         for j in range(start, n):
             v = m.entries[i][j]
-            if v.is_zero:
-                continue
-            lines.append(
-                f'  "{m.labels[i]}" {arrow} "{m.labels[j]}" [label="{ratfun_to_str(v)}"];'
-            )
+            if not v.is_zero:
+                lines.append(f'  {ids[i]} {arrow} {ids[j]} [label="{ratfun_to_str(v)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -263,6 +256,10 @@ def _load_groups(path: str | None) -> dict:
         raise ValueError(
             "group file needs 'groups' and 'event_classes' objects mapping names to label lists"
         )
+    # a name is a CSV cell and half of a summary key "group/class"
+    for name in (*spec["groups"], *spec["event_classes"]):
+        if any(c in name for c in ",/\r\n"):
+            raise ValueError(f"group file needs names without ',', '/' or line breaks: {name!r}")
     return spec
 
 
@@ -418,7 +415,7 @@ def main(argv=None) -> int:
     except IncidenceFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ArithmeticError, RuntimeError) as exc:

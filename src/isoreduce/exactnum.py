@@ -33,7 +33,7 @@ NEG_INF = float("-inf")
 
 
 class PoleError(ArithmeticError):
-    """Raised when a rational function is evaluated at (or too near) a pole."""
+    """Raised when a rational function is evaluated where its denominator is 0.0."""
 
     def __init__(self, x: float):
         super().__init__(f"evaluation at pole x = {x!r}")
@@ -59,13 +59,13 @@ class RatFun:
     def __new__(cls, num, den=None):
         f = _coerce_rf(num)
         if f is None:
-            raise TypeError("numerator must be a RatFun or exact number")
+            raise TypeError(f"expected a RatFun or exact number, got {type(num).__name__}")
         if den is None:
             return f
-        den = _coerce_rf(den)
-        if den is None:
-            raise TypeError("denominator must be a RatFun or exact number")
-        return f / den
+        d = _coerce_rf(den)
+        if d is None:
+            raise TypeError(f"expected a RatFun or exact number, got {type(den).__name__}")
+        return f / d
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -121,13 +121,12 @@ class RatFun:
             return self
         # Inputs are canonical, so gcd(N1, D1) = gcd(N2, D2) = 1 and the
         # classical reduced-sum identities apply.
-        g = _gcd_prim(self._d, other._d)
-        d1, d2 = _quo(self._d, g), _quo(other._d, g)
+        g, d1, d2 = _gcd_cof(self._d, other._d)
         t = _sum(_mul_ints(self._n, d2), self._k, _mul_ints(other._n, d1), other._k)
         if not t._n:
             return t
-        h = _gcd_prim(t._n, g)
-        return _rf(_quo(t._n, h), tuple(_mul_ints(_mul_ints(d1, d2), _quo(g, h))), t._k)
+        _, n, e = _gcd_cof(t._n, g)  # e = g / gcd(T, g)
+        return _rf(n, tuple(_mul_ints(_mul_ints(d1, d2), e)), t._k)
 
     __radd__ = __add__
 
@@ -149,10 +148,9 @@ class RatFun:
             return NotImplemented
         if not self._n or not other._n:
             return RatFun.ZERO
-        g1, g2 = _gcd_prim(self._n, other._d), _gcd_prim(other._n, self._d)
-        n = _mul_ints(_quo(self._n, g1), _quo(other._n, g2))
-        d = _mul_ints(_quo(self._d, g2), _quo(other._d, g1))
-        return _rf(tuple(n), tuple(d), self._k * other._k)
+        _, n1, d2 = _gcd_cof(self._n, other._d)
+        _, n2, d1 = _gcd_cof(other._n, self._d)
+        return _rf(tuple(_mul_ints(n1, n2)), tuple(_mul_ints(d1, d2)), self._k * other._k)
 
     __rmul__ = __mul__
 
@@ -172,13 +170,13 @@ class RatFun:
 
     # -- evaluation ---------------------------------------------------------
 
-    def __call__(self, x: float, pole_tol: float = 1e-12) -> float:
-        """num(x)/den(x) by Horner evaluation; PoleError when |den(x)| <= pole_tol.
-
-        A polynomial's den(x) is 1.0, so it evaluates as its own Horner sum."""
+    def __call__(self, x: float) -> float:
+        """num(x)/den(x) by Horner evaluation; PoleError when den(x) is 0.0, and a
+        large float near a pole. A polynomial's den(x) is 1.0, so it evaluates
+        as its own Horner sum."""
         k, lc = self._k, self._d[-1]
         dv = _horner(self._d, 1, lc, x)
-        if abs(dv) <= pole_tol:
+        if dv == 0.0:
             raise PoleError(x)
         return _horner(self._n, k.numerator, k.denominator * lc, x) / dv
 
@@ -352,32 +350,28 @@ def _pseudo_divmod(a, b) -> tuple[list[int], list[int], int]:
     return q, r, s
 
 
-def _quo(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Exact quotient of primitive a by a primitive divisor b of it."""
-    if len(b) == 1:
-        return a
-    return tuple(_pseudo_divmod(a, b)[0])
-
-
-def _gcd_prim(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Primitive gcd of nonzero primitive parts: the Euclidean remainder
-    sequence, keeping only each remainder's primitive part against growth."""
-    if len(a) == 1 or len(b) == 1:
-        return (1,)
-    while b:
-        a, b = b, _poly(_pseudo_divmod(a, b)[1], 1)._n
-    return a
+def _gcd_cof(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """(g, a/g, b/g) for nonzero primitive parts, g their primitive gcd: the end
+    of the Euclidean remainder sequence, keeping only each remainder's
+    primitive part against growth. g divides both over Z, so pseudo-division
+    by it is exact; a g of 1 divides nothing."""
+    g, r = (a, b) if len(a) > 1 and len(b) > 1 else ((1,), ())
+    while r:
+        g, r = r, _poly(_pseudo_divmod(g, r)[1], 1)._n
+    if len(g) == 1:
+        return (1,), a, b
+    return g, tuple(_pseudo_divmod(a, g)[0]), tuple(_pseudo_divmod(b, g)[0])
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor: _gcd_prim of the stored primitive parts
+    """Monic greatest common divisor: _gcd_cof of the stored primitive parts
     made monic, as rescaling by a nonzero rational keeps the gcd. A zero
     argument gives the other's monic form; gcd(0, 0) raises ValueError."""
     if not (a and b):
         if not (a or b):
             raise ValueError("gcd(0, 0) is undefined")
         return (a or b).monic()
-    g = _gcd_prim(a._n, b._n)
+    g = _gcd_cof(a._n, b._n)[0]
     return _rf(g, (1,), Fraction(1, g[-1]))
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -105,14 +104,6 @@ class IncidenceData:
         return self.dates[self.col_index(col_label)]
 
 
-def _as_ratfun(value) -> RatFun:
-    if isinstance(value, RatFun):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return RatFun(value)
-    raise TypeError(f"matrix entries must be RatFun or exact numbers, got {type(value).__name__}")
-
-
 class RfMatrix:
     """Square node-labeled matrix with rational-function entries."""
 
@@ -122,7 +113,7 @@ class RfMatrix:
         labels = tuple(labels)
         if len(set(labels)) != len(labels):
             raise ValueError("matrix labels must be unique")
-        grid = tuple(tuple(_as_ratfun(v) for v in row) for row in entries)
+        grid = tuple(tuple(map(RatFun, row)) for row in entries)
         if len(grid) != len(labels) or any(len(row) != len(labels) for row in grid):
             raise ValueError("matrix must be square with one row/column per label")
         self._labels = labels
@@ -254,8 +245,6 @@ def mode_convert(
     if a_ij is None or a_ji is None:
         raise ValueError(f"blocks ({i},{j}) and ({j},{i}) are required")
     rows, cols = len(a_ij), len(a_ij[0]) if a_ij else 0
-    if len(a_ji) != cols or any(len(r) != rows for r in a_ji):
-        raise ValueError("off-diagonal blocks have inconsistent shapes")
     for r in range(rows):
         for c in range(cols):
             if a_ij[r][c] != a_ji[c][r]:
@@ -293,8 +282,7 @@ def _parse_date(token: str, line: int, column: int) -> datetime.date:
 
 
 def parse_incidence_csv(text: str) -> IncidenceData:
-    lines = [ln for ln in text.splitlines()]
-    rows_raw = [(i + 1, ln.split(",")) for i, ln in enumerate(lines) if ln.strip()]
+    rows_raw = [(i + 1, ln.split(",")) for i, ln in enumerate(text.splitlines()) if ln.strip()]
     if not rows_raw:
         raise IncidenceFormatError("empty incidence file", 1)
     header_no, header = rows_raw[0]

@@ -105,9 +105,9 @@ def _lu_pivots(a: list[list[float]]) -> list[float] | None:
 def eval_det(grid: Sequence[Sequence[RatFun]], x: float) -> float:
     """Determinant of the grid evaluated entrywise at x.
 
-    Entries are evaluated by RatFun.__call__ with its default pole_tol, and
-    its PoleError propagates; a numerically singular factorization returns
-    0.0 (which is exactly the signal sought).
+    Entries are evaluated by RatFun.__call__, and its PoleError (a denominator
+    that evaluates to 0.0) propagates; a numerically singular factorization
+    returns 0.0 (which is exactly the signal sought).
     """
     n = len(grid)
     if any(len(row) != n for row in grid):
@@ -185,10 +185,7 @@ def verify_spectrum(m: RfMatrix, s: Iterable[str], tol: float = 1e-6) -> Spectru
         if eig_removed and min(abs(lam - mu) for mu in eig_removed) < EXCLUSION_GAP:
             checks.append(EigenCheck(lam, True, math.nan))
             continue
-        vals = [
-            [reduced.entries[i][j](lam, pole_tol=0.0) for j in range(n)]
-            for i in range(n)
-        ]
+        vals = [[reduced.entries[i][j](lam) for j in range(n)] for i in range(n)]
         for i in range(n):
             vals[i][i] -= lam
         pivots = _lu_pivots(vals)

@@ -201,6 +201,9 @@ def test_dynamics_outputs(tmp_path):
         '{"groups": 5, "event_classes": {}}',
         '{"groups": {"a": ["W_1"]}, "event_classes": {"c": 7}}',
         '"groups and event_classes"',
+        '{"groups": {"G,1": ["W_1"]}, "event_classes": {"c": ["E_1"]}}',
+        '{"groups": {"A/B": ["W_1"], "A": ["W_2"]}, "event_classes": {"C": ["E_1"], "B/C": ["E_2"]}}',
+        '{"groups": {"G\\n1": ["W_1"]}, "event_classes": {"c\\r": ["E_1"]}}',
     ],
 )
 def test_malformed_group_file_exit_1(tmp_path, capsys, text):
@@ -282,6 +285,17 @@ def test_dot_directed_when_asymmetric():
     text = matrix_to_dot(m)
     assert text.startswith("digraph reduced {\n")
     assert '"a" -> "b"' in text
+
+
+def test_dot_escapes_quotes_in_labels(tmp_path, capsys):
+    csv, keep = tmp_path / "q.csv", tmp_path / "keep.txt"
+    csv.write_text('name,E1,E2\nW"a,1,1\nWb,1,0\n')
+    keep.write_text('W"a\nWb\nE1\nE2\n')
+    assert cli.main(["reduce", "--input", str(csv), "--keep", str(keep), "--format", "dot"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert '  "W\\"a";' in lines
+    assert '  "W\\"a" -- "E1" [label="1"];' in lines
+    assert '  "W\\"a" -- "E2" [label="1"];' in lines
 
 
 def test_matrix_csv_round_trip_preserves_text(dgg):

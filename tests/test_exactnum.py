@@ -1,8 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from isoreduce.exactnum import (
@@ -10,6 +11,7 @@ from isoreduce.exactnum import (
     PoleError,
     Polynomial,
     RatFun,
+    _gcd_cof,
     _pseudo_divmod,
     poly_gcd,
     ratfun_from_str,
@@ -181,6 +183,13 @@ def test_eval_pole():
     assert err.value.x == 0.0
 
 
+def test_eval_raises_only_where_the_denominator_is_zero():
+    f = RatFun(1, X - 1)
+    assert f(1 + 2**-40) == 2.0**40
+    with pytest.raises(PoleError):
+        f(1.0)
+
+
 # -- one value, one class ----------------------------------------------------------
 
 
@@ -350,7 +359,7 @@ def test_zero_results_are_canonical_zero(f, p):
 def test_eval_rounds_like_num_over_den(f, x):
     # evaluation is fixed to num(x)/den(x) bit for bit: verify residuals depend on it
     dv = f.den(x)
-    assume(abs(dv) > 1e-12)
+    assume(dv != 0.0)
     assert f(x).hex() == (f.num(x) / dv).hex()
 
 
@@ -415,3 +424,38 @@ def test_pseudo_divmod_identity(a, b):
 def test_pseudo_divmod_exact_over_z_needs_no_scaling(b, c):
     a = [int(v) for v in _convolve(b, c)]
     assert _pseudo_divmod(a, b) == (c, [], 1)
+
+
+def _primitive(seq):
+    seq = _strip(int(v) for v in seq)
+    g = math.gcd(*seq) if seq[-1] > 0 else -math.gcd(*seq)
+    return tuple(v // g for v in seq)
+
+
+def _sympy_zz_gcd(a, b):
+    # the independent oracle: sympy's gcd over ZZ, primitive with a positive leading coefficient
+    x = sympy.Symbol("x")
+    g = sympy.Poly(a[::-1], x, domain="ZZ").gcd(sympy.Poly(b[::-1], x, domain="ZZ"))
+    g = g.primitive()[1]
+    return tuple(int(c) for c in reversed((g if g.LC() > 0 else -g).all_coeffs()))
+
+
+prim_parts = st.lists(small_ints, min_size=1, max_size=6).filter(any).map(_primitive)
+
+# Knuth's coprime pair, whose remainder sequence takes five divisions
+KNUTH_A = (-5, 2, 8, -3, -3, 0, 1, 0, 1)
+KNUTH_B = (21, -9, -4, 0, 5, 0, 3)
+
+
+@settings(max_examples=300)
+@given(prim_parts, prim_parts, prim_parts)
+@example((1,), (1, 2, 1), (1,))
+@example((3, 1), (1,), (-1, 1))
+@example(KNUTH_A, KNUTH_B, (1,))
+@example(KNUTH_A, KNUTH_B, (2, -1, 3))
+def test_gcd_cof_matches_sympy_over_zz(a, b, common):
+    for a, b in ((a, b), (_primitive(_convolve(a, common)), _primitive(_convolve(b, common)))):
+        g, ca, cb = _gcd_cof(a, b)
+        assert g == _sympy_zz_gcd(a, b)
+        assert _strip(_convolve(g, ca)) == list(a)
+        assert _strip(_convolve(g, cb)) == list(b)

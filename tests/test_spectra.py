@@ -186,6 +186,15 @@ def test_eval_det_pole_propagates():
         eval_det([[RatFun(1, Polynomial.X)]], 0.0)
 
 
+def test_eval_det_raises_only_at_an_exact_pole():
+    from isoreduce.exactnum import PoleError
+
+    grid = [[RatFun(1, Polynomial.X - 1)]]
+    assert eval_det(grid, 1 + 2**-40) == 2.0**40
+    with pytest.raises(PoleError):
+        eval_det(grid, 1.0)
+
+
 # -- full verification --------------------------------------------------------------
 
 
