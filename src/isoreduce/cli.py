@@ -17,7 +17,7 @@ from . import dynamics as dyn
 from . import hierarchy as hier
 from . import isored, netmat, spectra
 from .exactnum import ratfun_to_str
-from .netmat import IncidenceData, IncidenceFormatError, RfMatrix
+from .netmat import IncidenceData, RfMatrix
 
 __all__ = ["UsageError", "parse_args", "main", "entrypoint"]
 
@@ -118,8 +118,8 @@ def _build_matrix(data: IncidenceData, mode: str) -> RfMatrix:
 def _read_labels(path: str) -> list[str]:
     out = []
     for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
+        line = line.strip()
+        if line and not line.startswith("#"):  # a label itself may contain '#'
             out.append(line)
     return out
 
@@ -150,7 +150,7 @@ def matrix_to_dot(m: RfMatrix) -> str:
     """DOT text, graph name ``reduced``, with exact edge weights; self-loops included."""
     symmetric = m.is_symmetric()
     kind, arrow = ("graph", "--") if symmetric else ("digraph", "->")
-    ids = ['"' + label.replace('"', '\\"') + '"' for label in m.labels]
+    ids = ['"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"' for label in m.labels]
     lines = [f"{kind} reduced {{"]
     lines.extend(f"  {node};" for node in ids)
     n = len(ids)
@@ -412,9 +412,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[cfg.subcommand](cfg)
-    except IncidenceFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -47,8 +47,6 @@ def group_attendance(
 
 def series_stats(counts: Sequence[int]) -> tuple[Fraction, Fraction]:
     """Exact mean and sample variance (n-1 divisor) of the counts."""
-    if not counts:
-        raise ValueError("series is empty")
     if len(counts) < 2:
         raise ValueError("sample variance needs at least two counts")
     n = len(counts)

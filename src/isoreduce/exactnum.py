@@ -60,12 +60,7 @@ class RatFun:
         f = _coerce_rf(num)
         if f is None:
             raise TypeError(f"expected a RatFun or exact number, got {type(num).__name__}")
-        if den is None:
-            return f
-        d = _coerce_rf(den)
-        if d is None:
-            raise TypeError(f"expected a RatFun or exact number, got {type(den).__name__}")
-        return f / d
+        return f if den is None else f / RatFun(den)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -223,8 +218,6 @@ class Polynomial(RatFun):
     def monic(self) -> "Polynomial":
         if not self._n:
             raise ValueError("the zero polynomial has no monic form")
-        if self.leading == 1:
-            return self
         return _rf(self._n, (1,), Fraction(1, self._n[-1]))
 
     def __divmod__(self, other) -> tuple["Polynomial", "Polynomial"]:

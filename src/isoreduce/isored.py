@@ -89,7 +89,7 @@ def reduce(m: RfMatrix, s: Iterable[str]) -> ReductionResult:
 
     s must be a nonempty subset of m's labels, else ValueError naming the
     first unknown label in s's order; kept labels retain m's label order.
-    With s equal to all labels the matrix is returned unchanged.
+    With s equal to all labels the result is an equal matrix.
 
     The removed nodes go one at a time, in label order: removing r sets
     e_ij <- e_ij - e_ir e_rj / (e_rr - x) on the surviving entries, skipping
@@ -100,25 +100,20 @@ def reduce(m: RfMatrix, s: Iterable[str]) -> ReductionResult:
     pivot e_rr - x is zero, which cannot happen while every entry has
     numerator degree at most its denominator degree.
     """
-    wanted = dict.fromkeys(s)  # an ordered set: the first unknown label is the one named
+    wanted = {m.index(lab) for lab in s}  # raises at the first unknown label in s's order
     if not wanted:
         raise ValueError("the kept node set must not be empty")
-    for lab in wanted:
-        m.index(lab)
-    kept = [lab for lab in m.labels if lab in wanted]
-    removed = [lab for lab in m.labels if lab not in wanted]
-    if not removed:
-        return ReductionResult(m, ())
+    kept = sorted(wanted)
+    removed = [r for r in range(len(m)) if r not in wanted]
 
     sym = m.is_symmetric()
     e = [list(row) for row in m.entries]
     alive = list(range(len(m)))
-    for lab in removed:
-        r = m.index(lab)
+    for r in removed:
         alive.remove(r)
         pivot = e[r][r] - RatFun.X
         if pivot.is_zero:
-            raise SingularMatrixError(f"pivot of {lab!r} vanishes over the function field")
+            raise SingularMatrixError(f"pivot of {m.labels[r]!r} vanishes over the function field")
         rows = [i for i in alive if not e[i][r].is_zero]
         for j in alive:
             if e[r][j].is_zero:
@@ -130,6 +125,5 @@ def reduce(m: RfMatrix, s: Iterable[str]) -> ReductionResult:
                 e[i][j] = e[i][j] - e[i][r] * f
                 if sym:
                     e[j][i] = e[i][j]
-    ki = [m.index(lab) for lab in kept]
-    return ReductionResult(RfMatrix(kept, [[e[i][j] for j in ki] for i in ki]), tuple(removed))
-
+    reduced = RfMatrix([m.labels[i] for i in kept], [[e[i][j] for j in kept] for i in kept])
+    return ReductionResult(reduced, tuple(m.labels[r] for r in removed))

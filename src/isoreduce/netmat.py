@@ -147,9 +147,6 @@ class RfMatrix:
         # tuple equality skips identical objects, so mirrored entries cost nothing
         return self._entries == tuple(zip(*self._entries))
 
-    def is_constant(self) -> bool:
-        return all(v.is_constant for row in self._entries for v in row)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RfMatrix):
             return NotImplemented

@@ -49,14 +49,12 @@ def sym_eigenvalues(matrix: Sequence[Sequence[float]]) -> list[float]:
                 raise ValueError(f"matrix is not symmetric at ({i}, {j})")
             mean = 0.5 * (a[i][j] + a[j][i])
             a[i][j] = a[j][i] = mean
-    if n <= 1:
-        return [a[0][0]] if n else []
 
-    skip = _EIG_TOL / (10.0 * n)
     for _ in range(_SWEEP_CAP):
         off = math.sqrt(2.0 * sum(a[i][j] ** 2 for i in range(n) for j in range(i + 1, n)))
         if off <= _EIG_TOL:
             return sorted(a[i][i] for i in range(n))
+        skip = _EIG_TOL / (10.0 * n)  # n >= 2: a smaller matrix has no off-diagonal entry
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p][q]
@@ -156,24 +154,22 @@ def verify_spectrum(m: RfMatrix, s: Iterable[str], tol: float = 1e-6) -> Spectru
     nearest actual root. It is summed as logs of the LU pivots and the
     distances, capped at exp(700), and 0.0 if the LU is singular.
 
-    isored.reduce checks the kept set before any float work, naming the
-    first unknown label given; a reduction that does not keep exactly the
-    requested labels raises RuntimeError.
+    isored.reduce checks the kept set before any eigenvalue is computed,
+    naming the first unknown label given; a reduction that does not keep
+    exactly the requested labels raises RuntimeError.
     """
-    if not m.is_constant():
-        raise ValueError("spectrum verification requires a constant (x-free) matrix")
+    full = [[float(v.as_fraction()) for v in row] for row in m.entries]  # raises unless constant
     if not m.is_symmetric():
         raise ValueError("spectrum verification requires a symmetric matrix")
     wanted = dict.fromkeys(s)
-    reduced = isored.reduce(m, wanted).reduced
-    if wanted.keys() >= set(m.labels):
+    result = isored.reduce(m, wanted)
+    if not result.removed:
         raise ValueError("verification requires a proper subset of the labels")
+    reduced = result.reduced
     if list(reduced.labels) != [lab for lab in m.labels if lab in wanted]:
         raise RuntimeError("the reduction did not keep exactly the requested labels")
 
-    full = [[float(v.as_fraction()) for v in row] for row in m.entries]
-    removed = [lab for lab in m.labels if lab not in wanted]
-    ri = [m.index(lab) for lab in removed]
+    ri = [m.index(lab) for lab in result.removed]
     block = [[full[a][b] for b in ri] for a in ri]
 
     eig_full = sym_eigenvalues(full)
@@ -182,7 +178,7 @@ def verify_spectrum(m: RfMatrix, s: Iterable[str], tol: float = 1e-6) -> Spectru
     n = len(reduced)
     checks: list[EigenCheck] = []
     for lam in eig_full:
-        if eig_removed and min(abs(lam - mu) for mu in eig_removed) < EXCLUSION_GAP:
+        if min(abs(lam - mu) for mu in eig_removed) < EXCLUSION_GAP:
             checks.append(EigenCheck(lam, True, math.nan))
             continue
         vals = [[reduced.entries[i][j](lam) for j in range(n)] for i in range(n)]

@@ -87,6 +87,23 @@ def test_hierarchy_restrict(tmp_path):
     assert doc["levels"][-1]["members"] == ["W_14"]
 
 
+def test_labels_may_contain_hash(tmp_path):
+    # only a line that starts with '#' is a comment
+    csv, keep, four = tmp_path / "h.csv", tmp_path / "keep.txt", tmp_path / "four.txt"
+    csv.write_text("name,E1,E2\nW#1,1,0\nW2,1,1\n")
+    keep.write_text("  # kept nodes\nW#1\nE1\nE2\n")
+    out = tmp_path / "r.json"
+    assert cli.main(["reduce", "--input", str(csv), "--keep", str(keep), "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["labels"] == ["W#1", "E1", "E2"] and doc["removed"] == ["W2"]
+    four.write_text("W#1\nW2\n")
+    out = tmp_path / "h.json"
+    argv = ["hierarchy", "--input", str(csv), "--restrict", str(four), "--output", str(out)]
+    assert cli.main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert doc["core"] == ["W2"] and doc["levels"] == [{"rank": 1, "members": ["W#1"]}]
+
+
 def test_hierarchy_restrict_unknown_label_exit_1(tmp_path, capsys):
     members = tmp_path / "typo.txt"
     members.write_text("zz\n")
@@ -219,6 +236,7 @@ def test_malformed_csv_exit_1(tmp_path, capsys):
     assert cli.main(["hierarchy", "--input", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "line 2" in err and "column 3" in err
+    assert err.startswith("error: ")
 
 
 def test_dynamics_undated_input_exit_1(tmp_path, capsys):
@@ -296,6 +314,13 @@ def test_dot_escapes_quotes_in_labels(tmp_path, capsys):
     assert '  "W\\"a";' in lines
     assert '  "W\\"a" -- "E1" [label="1"];' in lines
     assert '  "W\\"a" -- "E2" [label="1"];' in lines
+    # a backslash is doubled first, so a label ending in one still closes its string
+    csv.write_text("name,E1,E2\nW\\,1,1\nWb,1,0\n")
+    keep.write_text("W\\\nWb\nE1\nE2\n")
+    assert cli.main(["reduce", "--input", str(csv), "--keep", str(keep), "--format", "dot"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert '  "W\\\\";' in lines
+    assert '  "W\\\\" -- "E1" [label="1"];' in lines
 
 
 def test_matrix_csv_round_trip_preserves_text(dgg):

@@ -110,6 +110,8 @@ def test_constant_series():
 def test_too_short_for_variance():
     with pytest.raises(ValueError):
         series_stats((5,))
+    with pytest.raises(ValueError, match="at least two counts"):
+        series_stats(())
 
 
 # -- activity and popularity -----------------------------------------------------------

@@ -41,6 +41,8 @@ def test_float_inputs_rejected():
         Polynomial([0.5])
     with pytest.raises(TypeError):
         RatFun(0.5)
+    with pytest.raises(TypeError, match="got float"):
+        RatFun(1, 0.5)
 
 
 def test_scalar_zero_is_canonical_zero():

@@ -125,8 +125,11 @@ def test_rule_contract_on_dgg(dgg_hierarchy):
 
 
 def test_rejects_rule_with_foreign_labels():
-    with pytest.raises(ValueError):
-        sequential_reduce(path3(), lambda m: frozenset({"zz"}))
+    # isored.reduce names the foreign label, whether the rule keeps it alone
+    # or together with every label of the matrix
+    for rule in (lambda m: frozenset({"zz"}), lambda m: frozenset({*m.labels, "zz"})):
+        with pytest.raises(ValueError, match="unknown node label 'zz'"):
+            sequential_reduce(path3(), rule)
 
 
 def test_lost_label_breaks_partition(monkeypatch):

@@ -84,6 +84,8 @@ def _charpoly_int(matrix):
 
 def test_diagonal_matrix():
     assert sym_eigenvalues([[2.0, 0.0], [0.0, 3.0]]) == [2.0, 3.0]
+    assert sym_eigenvalues([[-1.5]]) == [-1.5]
+    assert sym_eigenvalues([]) == []
 
 
 def test_exchange_matrix():
@@ -348,9 +350,14 @@ def test_verify_rejects_a_reduction_that_lost_a_label(monkeypatch, dgg_matrix):
         verify_spectrum(dgg_matrix, keep)
 
 
-def test_verify_rejects_nonconstant_matrix():
+def test_verify_rejects_nonconstant_matrix(monkeypatch):
     m = RfMatrix(("a", "b"), [[RatFun(1, Polynomial.X), 0], [0, 1]])
-    with pytest.raises(ValueError):
+    # before any reduction runs
+    def no_reduction(m, s):
+        raise AssertionError("reduced a matrix with a non-constant entry")
+
+    monkeypatch.setattr(isored, "reduce", no_reduction)
+    with pytest.raises(ValueError, match=r"\(1\)/\(x\) is not a constant"):
         verify_spectrum(m, ("a",))
 
 
