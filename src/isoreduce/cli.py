@@ -119,7 +119,7 @@ def _read_labels(path: str) -> list[str]:
     out = []
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         line = line.strip()
-        if line and not line.startswith("#"):  # a label itself may contain '#'
+        if line and not line.startswith(netmat.COMMENT):  # a label may contain it past its start
             out.append(line)
     return out
 

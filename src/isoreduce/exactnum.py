@@ -343,17 +343,105 @@ def _pseudo_divmod(a, b) -> tuple[list[int], list[int], int]:
     return q, r, s
 
 
+def _eval_int(a, xi: int) -> int:
+    """sum(a[i] * xi**i) by Horner over Z."""
+    v = 0
+    for c in reversed(a):
+        v = v * xi + c
+    return v
+
+
+def _lift(v: int, xi: int) -> tuple[int, ...]:
+    """The primitive part of the polynomial whose coefficients are the
+    symmetric base-xi digits of v, each in (-xi/2, xi/2]; v is nonzero."""
+    half = xi // 2
+    out = []
+    while v:
+        v, d = divmod(v, xi)
+        if d > half:
+            d -= xi
+            v += 1
+        out.append(d)
+    g = math.gcd(*out)
+    if out[-1] < 0:
+        g = -g
+    return tuple(out) if g == 1 else tuple([d // g for d in out])
+
+
+def _quo(a, b) -> tuple[int, ...] | None:
+    """a/b over Z for int sequences, b nonzero; None when b does not divide a there."""
+    n = len(b) - 1
+    lb = b[-1]
+    r = list(a)
+    q = [0] * (len(a) - n)
+    if not q:
+        return None
+    for i in reversed(range(len(q))):
+        c, rem = divmod(r[i + n], lb)
+        if rem:
+            return None
+        q[i] = c
+        if c:
+            for j in range(n):
+                r[i + j] -= c * b[j]
+    return None if any(r[:n]) else tuple(q)
+
+
 def _gcd_cof(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """(g, a/g, b/g) for nonzero primitive parts, g their primitive gcd: the end
-    of the Euclidean remainder sequence, keeping only each remainder's
-    primitive part against growth. g divides both over Z, so pseudo-division
-    by it is exact; a g of 1 divides nothing."""
-    g, r = (a, b) if len(a) > 1 and len(b) > 1 else ((1,), ())
-    while r:
-        g, r = r, _poly(_pseudo_divmod(g, r)[1], 1)._n
-    if len(g) == 1:
+    """(g, a/g, b/g) for nonzero primitive parts, g their primitive gcd.
+
+    GCDHEU, the heuristic gcd (Char, Geddes & Gonnet, J. Symb. Comp. 1989;
+    Liao & Fateman 1995). Evaluate a and b at an integer
+    xi >= 2*min(|a|, |b|) + 29, |.| the max norm, and take the integer gcd
+    c of a(xi) and b(xi). The candidate h is the primitive part of the
+    polynomial spelled by c's symmetric base-xi digits. h is accepted only
+    if it divides both a and b over Z, and those exact divisions are the
+    cofactors. Otherwise a over the lifted a(xi)/c, then b over the lifted
+    b(xi)/c, is tried the same way, as in sympy's dup_zz_heu_gcd. Then xi
+    grows by that function's schedule, and the steps repeat.
+
+    An accepted h is the gcd G. h divides both inputs, so G = h*u over Z,
+    and u divides the input s of smaller norm. Every root of s has modulus below
+    1 + |s| <= xi/2 - 13, so a nonconstant u has |u(xi)| > xi/2. But G(xi)
+    divides c. For the first candidate c = k*h(xi), k the content of c's
+    digits, so u(xi) divides k, and |k| <= xi/2. For a cofactor route
+    h(xi) = k*c, so u(xi) divides 1. Either way u is a constant, and h = G,
+    as both are primitive with a positive leading entry. sympy starts lower,
+    at max(min(B, 99*sqrt(B)), 2*min(|a|//lc(a), |b|//lc(b)) + 4) for this
+    bound B; the proof here is written for B itself.
+
+    The loop ends. Write a = G*P, b = G*Q with P, Q coprime. Then
+    S*P + T*Q = r over Z for the resultant r of P and Q, a nonzero integer,
+    so c = |G(xi)|*gamma with gamma dividing r. Once xi > 2*|r|*|G| and
+    neither input vanishes at xi, c's symmetric digits spell +-gamma*G, and
+    the first candidate is G. Each step multiplies xi by more than 5."""
+    if len(a) == 1 or len(b) == 1:
         return (1,), a, b
-    return g, tuple(_pseudo_divmod(a, g)[0]), tuple(_pseudo_divmod(b, g)[0])
+    if a == b:
+        return a, (1,), (1,)
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    while True:
+        fa, fb = _eval_int(a, xi), _eval_int(b, xi)
+        if fa and fb:
+            c = math.gcd(fa, fb)
+            h = _lift(c, xi)
+            if len(h) == 1:
+                return (1,), a, b
+            ca = _quo(a, h)
+            cb = ca and _quo(b, h)
+            if cb:
+                return h, ca, cb
+            ca = _lift(fa // c, xi)
+            h = _quo(a, ca)
+            cb = h and _quo(b, h)
+            if cb:
+                return h, ca, cb
+            cb = _lift(fb // c, xi)
+            h = _quo(b, cb)
+            ca = h and _quo(a, h)
+            if ca:
+                return h, ca, cb
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:

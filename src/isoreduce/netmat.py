@@ -39,6 +39,11 @@ class IncidenceFormatError(ValueError):
         self.column = column
 
 
+# A keep or restrict file line whose first non-blank character is this is a
+# comment, so no label may start with it.
+COMMENT = "#"
+
+
 @dataclass(frozen=True)
 class IncidenceData:
     """A labeled 0/1 incidence matrix with optional per-column dates.
@@ -62,6 +67,9 @@ class IncidenceData:
         labels = rows + cols
         if len(set(labels)) != len(labels):
             raise ValueError("labels must be unique within and across modes")
+        for label in labels:
+            if label.lstrip().startswith(COMMENT):
+                raise ValueError(f"a label must not start with {COMMENT!r}, got {label!r}")
         if len(grid) != len(rows):
             raise ValueError("matrix row count does not match row labels")
         for row in grid:

@@ -104,6 +104,17 @@ def test_labels_may_contain_hash(tmp_path):
     assert doc["core"] == ["W2"] and doc["levels"] == [{"rank": 1, "members": ["W#1"]}]
 
 
+def test_label_starting_with_hash_exit_1(tmp_path, capsys):
+    # a keep file could not name it: its line would be a comment
+    csv, keep = tmp_path / "h.csv", tmp_path / "keep.txt"
+    csv.write_text("name,E1,E2\n #W,1,0\nW2,1,1\n")
+    keep.write_text("#W\nE1\nE2\n")
+    out = tmp_path / "r.json"
+    assert cli.main(["reduce", "--input", str(csv), "--keep", str(keep), "--output", str(out)]) == 1
+    assert "error: a label must not start with '#', got '#W'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_hierarchy_restrict_unknown_label_exit_1(tmp_path, capsys):
     members = tmp_path / "typo.txt"
     members.write_text("zz\n")

@@ -6,6 +6,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from isoreduce import exactnum
 from isoreduce.exactnum import (
     NEG_INF,
     PoleError,
@@ -442,11 +443,22 @@ def _sympy_zz_gcd(a, b):
     return tuple(int(c) for c in reversed((g if g.LC() > 0 else -g).all_coeffs()))
 
 
-prim_parts = st.lists(small_ints, min_size=1, max_size=6).filter(any).map(_primitive)
+prim_parts = (
+    st.lists(small_ints | st.integers(-(2**100), 2**100), min_size=1, max_size=6)
+    .filter(any)
+    .map(_primitive)
+)
 
 # Knuth's coprime pair, whose remainder sequence takes five divisions
 KNUTH_A = (-5, 2, 8, -3, -3, 0, 1, 0, 1)
 KNUTH_B = (21, -9, -4, 0, 5, 0, 3)
+
+
+def _assert_gcd_cof(a, b):
+    g, ca, cb = _gcd_cof(a, b)
+    assert g == _sympy_zz_gcd(a, b)
+    assert _strip(_convolve(g, ca)) == list(a)
+    assert _strip(_convolve(g, cb)) == list(b)
 
 
 @settings(max_examples=300)
@@ -455,9 +467,63 @@ KNUTH_B = (21, -9, -4, 0, 5, 0, 3)
 @example((3, 1), (1,), (-1, 1))
 @example(KNUTH_A, KNUTH_B, (1,))
 @example(KNUTH_A, KNUTH_B, (2, -1, 3))
+@example(KNUTH_A, KNUTH_A, (1,))  # equal inputs
+@example((5, 2**90, 3), (5, 2**90, 3), (-7, 2))
+@example((-1, 1), (-1, 0, 1), (3, 1))  # one input a multiple of the other
+@example((1, 1), (-31, 1), (1,))  # b vanishes at the first point, 2*1 + 29
+@example((2**99 + 1, -3, 1), (2, 1), (2**99 + 1, -3, 1))  # a gcd with a 2^99 coefficient
 def test_gcd_cof_matches_sympy_over_zz(a, b, common):
     for a, b in ((a, b), (_primitive(_convolve(a, common)), _primitive(_convolve(b, common)))):
-        g, ca, cb = _gcd_cof(a, b)
-        assert g == _sympy_zz_gcd(a, b)
-        assert _strip(_convolve(g, ca)) == list(a)
-        assert _strip(_convolve(g, cb)) == list(b)
+        _assert_gcd_cof(a, b)
+
+
+# Pairs whose first evaluation point misses. A scan of 200,000 random pairs
+# a = g*p, b = g*q (coefficients in [-9, 9], degrees up to 3 each), recording
+# the points each call evaluated at, found pairs answered at a grown point but
+# none answered by a cofactor route, so these are built from a gcd wider than
+# its multiple: BINOM_6 = (x+1)^6 has the coefficient 20, over half of the
+# first point 2*5 + 29 = 39 (5 is the norm of BINOM_6 * (x-1)(x^2-x+1)), so
+# digits cannot spell it there; the cofactor (x-1)(x^2-x+1) can.
+BINOM_6 = (1, 6, 15, 20, 15, 6, 1)
+SMALL_COFACTOR = _primitive(_convolve(BINOM_6, _convolve((-1, 1), (1, -1, 1))))
+COFACTOR_ROUTES = [
+    # a over its lifted cofactor answers
+    (SMALL_COFACTOR, _primitive(_convolve(BINOM_6, (2, 1)))),
+    # a's cofactor x + 50 is too wide for the point 39; b over its cofactor answers
+    (_primitive(_convolve(BINOM_6, (50, 1))), SMALL_COFACTOR),
+]
+
+
+def _points_used(monkeypatch, a, b):
+    points = set()
+
+    def spy(seq, xi):
+        points.add(xi)
+        return eval_int(seq, xi)
+
+    eval_int = exactnum._eval_int
+    monkeypatch.setattr(exactnum, "_eval_int", spy)
+    _assert_gcd_cof(a, b)
+    return sorted(points)
+
+
+@pytest.mark.parametrize("a, b", COFACTOR_ROUTES)
+def test_gcd_cof_cofactor_route_answers_at_the_first_point(monkeypatch, a, b):
+    assert _points_used(monkeypatch, a, b) == [39]
+
+
+def test_gcd_cof_grows_the_point_after_a_miss(monkeypatch):
+    # from the scan above: gcd x + 1; at the first point 2*7 + 29 = 43 all
+    # three candidates fail
+    assert _points_used(monkeypatch, (-9, -8, 1), (-5, 3, 0, -1, 7)) == [43, 234]
+
+
+def test_gcd_cof_starts_at_the_bound():
+    # Pins the first point at the bound 2*19601 + 29 = 39231, the one the
+    # proof in _gcd_cof's docstring uses. At a point below it, such as
+    # 99*isqrt(39231) = 19602, the common factor x - 19601 evaluates to 1, so
+    # it drops out of the integer gcd, and the candidate 1 would be returned.
+    a = _primitive(_convolve((-19601, 1), (1, 1)))
+    b = _primitive(_convolve((-19601, 1), (2, 1)))
+    _assert_gcd_cof(a, b)
+    assert _gcd_cof(a, b)[0] == (-19601, 1)

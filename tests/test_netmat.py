@@ -39,6 +39,12 @@ def test_duplicate_labels_rejected():
         RfMatrix(("a", "a"), [[0, 0], [0, 0]])
 
 
+def test_label_starting_with_hash_rejected():
+    for rows, cols in ((("#a",), ("b",)), (("a",), (" #b",))):
+        with pytest.raises(ValueError, match="must not start with '#'"):
+            small([[1]], rows=rows, cols=cols)
+
+
 def test_non_binary_entry_rejected():
     for matrix in ([[2]], [[0.7]], [[1.9]]):
         with pytest.raises(ValueError):
