@@ -136,7 +136,13 @@ def _json_text(obj) -> str:
 
 
 def _entry_texts(m: RfMatrix) -> list[list[str]]:
-    return [[ratfun_to_str(v) for v in row] for row in m.entries]
+    # mirrored entries of a symmetric reduction share one RatFun: render it once
+    texts: dict[int, str] = {}
+    for row in m.entries:
+        for v in row:
+            if id(v) not in texts:
+                texts[id(v)] = ratfun_to_str(v)
+    return [[texts[id(v)] for v in row] for row in m.entries]
 
 
 def matrix_to_csv(m: RfMatrix) -> str:

@@ -11,14 +11,25 @@ the spectrum of the original (outside the spectrum of the removed block).
 reduce removes the nodes of S̄ one at a time. Removing node r updates every
 surviving entry by the single-node Schur complement
 
-    e_ij <- e_ij - e_ir e_rj / (e_rr - x)
+    e_ij <- e_ij + e_ir e_rj / (x - e_rr)
 
 and by the quotient formula for Schur complements (Crabtree & Haynsworth,
-1969) the result is exactly the block formula above. The pivot e_rr - x
-never vanishes while every entry stays bounded as x -> oo (numerator degree
-at most denominator degree): constant matrices meet that, and each removal
-keeps it, since the subtracted term tends to zero. A vanishing pivot raises
-SingularMatrixError and is never pivoted around.
+1969) the result is exactly the block formula above, whatever order the
+nodes go in. The pivot x - e_rr never vanishes while every entry stays
+bounded as x -> oo (numerator degree at most denominator degree): constant
+matrices meet that, and each removal keeps it, since the added term tends
+to zero. A vanishing pivot raises SingularMatrixError, naming the first
+node in elimination order whose pivot vanishes, and is never pivoted around.
+
+Since the result does not depend on the order, the order only sets how much
+work the intermediate entries take, and reduce uses greedy minimum degree on
+the removed block's symmetrised zero pattern (H. M. Markowitz, The
+elimination form of the inverse and its application to linear programming,
+Management Science 3, 1957; A. George & J. W. H. Liu, Computer Solution of
+Large Sparse Positive Definite Systems, 1981). Each step removes the node
+with the fewest live removed neighbours, the first in label order on a tie,
+and joins those neighbours into a clique, as its removal fills in the
+entries between them. The order is computed once, from the input's pattern.
 
 Every network the paper reduces is undirected, and a Schur complement of a
 symmetric matrix is symmetric. For a symmetric input each removal computes
@@ -84,21 +95,46 @@ class ReductionResult:
     removed: tuple[str, ...]
 
 
+def _min_degree_order(neighbours: dict[int, set[int]]) -> list[int]:
+    """Greedy minimum-degree elimination order of a symmetric zero pattern.
+
+    neighbours maps each node to the nodes it shares a nonzero with, itself
+    excluded. Each step takes the node with the fewest live neighbours, the
+    smallest on a tie, and joins its neighbours into a clique.
+    """
+    live = {v: set(nb) for v, nb in neighbours.items()}
+    order = []
+    while live:
+        r = min(live, key=lambda v: (len(live[v]), v))
+        nb = live.pop(r)
+        for v in nb:
+            live[v] |= nb
+            live[v].discard(v)
+            live[v].discard(r)
+        order.append(r)
+    return order
+
+
 def reduce(m: RfMatrix, s: Iterable[str]) -> ReductionResult:
     """Reduce m over the kept node set s, exactly.
 
     s must be a nonempty subset of m's labels, else ValueError naming the
-    first unknown label in s's order; kept labels retain m's label order.
-    With s equal to all labels the result is an equal matrix.
+    first unknown label in s's order; kept labels retain m's label order, and
+    so do the removed labels in the result.
 
-    The removed nodes go one at a time, in label order: removing r sets
-    e_ij <- e_ij - e_ir e_rj / (e_rr - x) on the surviving entries, skipping
-    rows with e_ir = 0 and columns with e_rj = 0. When m is symmetric only
-    the entries with i <= j are computed and e_ji is set to e_ij; a directed
-    m takes the full update. By the quotient formula this equals
-    M_SS - M_SS̄ (M_S̄S̄ - x I)^(-1) M_S̄S. Raises SingularMatrixError when a
-    pivot e_rr - x is zero, which cannot happen while every entry has
-    numerator degree at most its denominator degree.
+    The removed nodes go one at a time, in greedy minimum-degree order on the
+    removed block's symmetrised zero pattern (Markowitz, 1957; George & Liu,
+    1981): the node with the fewest live removed neighbours goes first, the
+    first in label order on a tie, and its neighbours join into a clique.
+    Removing r sets e_ij <- e_ij + e_ir e_rj / (x - e_rr) on the surviving
+    entries, skipping rows with e_ir = 0 and columns with e_rj = 0. When m is
+    symmetric only the entries with i <= j are computed and e_ji is set to
+    e_ij; a directed m takes the full update. By the quotient formula this
+    equals M_SS - M_SS̄ (M_S̄S̄ - x I)^(-1) M_S̄S in any order, so the order
+    changes only the work. With s equal to all labels the result is an equal
+    matrix. Raises SingularMatrixError naming the first pivot x - e_rr, in
+    elimination order, that is zero, which cannot happen while every entry
+    has numerator degree at most its denominator degree.
     """
     wanted = {m.index(lab) for lab in s}  # raises at the first unknown label in s's order
     if not wanted:
@@ -108,10 +144,14 @@ def reduce(m: RfMatrix, s: Iterable[str]) -> ReductionResult:
 
     sym = m.is_symmetric()
     e = [list(row) for row in m.entries]
+    pattern = {
+        r: {c for c in removed if c != r and not (e[r][c].is_zero and e[c][r].is_zero)}
+        for r in removed
+    }
     alive = list(range(len(m)))
-    for r in removed:
+    for r in _min_degree_order(pattern):
         alive.remove(r)
-        pivot = e[r][r] - RatFun.X
+        pivot = RatFun.X - e[r][r]
         if pivot.is_zero:
             raise SingularMatrixError(f"pivot of {m.labels[r]!r} vanishes over the function field")
         rows = [i for i in alive if not e[i][r].is_zero]
@@ -122,7 +162,7 @@ def reduce(m: RfMatrix, s: Iterable[str]) -> ReductionResult:
             for i in rows:  # ascending, so the upper triangle ends at the first i > j
                 if sym and i > j:
                     break
-                e[i][j] = e[i][j] - e[i][r] * f
+                e[i][j] = e[i][j] + e[i][r] * f
                 if sym:
                     e[j][i] = e[i][j]
     reduced = RfMatrix([m.labels[i] for i in kept], [[e[i][j] for j in kept] for i in kept])

@@ -181,7 +181,14 @@ def verify_spectrum(m: RfMatrix, s: Iterable[str], tol: float = 1e-6) -> Spectru
         if min(abs(lam - mu) for mu in eig_removed) < EXCLUSION_GAP:
             checks.append(EigenCheck(lam, True, math.nan))
             continue
-        vals = [[reduced.entries[i][j](lam) for j in range(n)] for i in range(n)]
+        # Mirrored entries of a symmetric reduction share one RatFun, so each
+        # distinct object is evaluated once; every entry of the grid is still
+        # read, so a wrong entry on either side of the diagonal shows.
+        at: dict[int, float] = {}
+        vals = [
+            [at[id(v)] if id(v) in at else at.setdefault(id(v), v(lam)) for v in row]
+            for row in reduced.entries
+        ]
         for i in range(n):
             vals[i][i] -= lam
         pivots = _lu_pivots(vals)

@@ -8,7 +8,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from isoreduce.cli import reduction_json
 from isoreduce.exactnum import Polynomial, RatFun, ratfun_from_str
-from isoreduce.isored import SingularMatrixError, invert_over_field, reduce
+from isoreduce.isored import SingularMatrixError, _min_degree_order, invert_over_field, reduce
 from isoreduce.netmat import RfMatrix
 
 X = RatFun.X
@@ -169,14 +169,18 @@ def _block_formula(m, keep):
     return reduced.to_list()
 
 
+def _assert_block_formula(m, keep):
+    out = reduce(m, keep).reduced
+    assert out.labels == keep
+    assert [[_to_field(v) for v in row] for row in out.entries] == _block_formula(m, keep)
+
+
 def _assert_matches_block_formula(rng, m):
     # a first reduction turns the constant entries into rational functions
     rational = reduce(m, rng.sample(m.labels, rng.randint(2, len(m) - 1))).reduced
     for mat in (m, rational):
         keep = tuple(sorted(rng.sample(mat.labels, rng.randint(1, len(mat) - 1)), key=mat.index))
-        out = reduce(mat, keep).reduced
-        assert out.labels == keep
-        assert [[_to_field(v) for v in row] for row in out.entries] == _block_formula(mat, keep)
+        _assert_block_formula(mat, keep)
 
 
 def test_reduce_matches_block_formula_on_directed_and_rational_matrices():
@@ -196,6 +200,57 @@ def test_reduce_matches_block_formula_on_symmetric_and_rational_matrices():
     for _ in range(20):
         m = random_symmetric(rng, rng.randint(3, 7), values=(-2, -1, 0, 0, 1, 3))
         _assert_matches_block_formula(rng, m)
+
+
+def _removed_pattern(m, keep):
+    # the removed block's symmetrised zero pattern, as reduce orders it
+    removed = [i for i, lab in enumerate(m.labels) if lab not in keep]
+    e = m.entries
+    return {r: {c for c in removed if c != r and (e[r][c] or e[c][r])} for r in removed}
+
+
+def test_reduce_matches_block_formula_in_minimum_degree_order():
+    # six removed nodes whose minimum-degree order is not label order, on a
+    # symmetric, a directed and a rational matrix: the result must not
+    # depend on the order, and the symmetric update's i > j break must hold
+    rng = random.Random(30)
+    labels = tuple(str(i) for i in range(9))
+    values = (-1, 0, 0, 0, 1, 2)
+    symmetric = random_symmetric(rng, 9, values=values)
+    directed = RfMatrix(labels, [[rng.choice(values) for _ in labels] for _ in labels])
+    rational = reduce(random_symmetric(rng, 10, values=values), labels).reduced
+    keep = ("1", "4", "7")
+    for m in (symmetric, directed, rational):
+        pattern = _removed_pattern(m, keep)
+        assert len(pattern) == 6
+        assert _min_degree_order(pattern) != sorted(pattern)
+        _assert_block_formula(m, keep)
+
+
+def test_min_degree_order_joins_neighbours_into_a_clique():
+    # Found by scanning random graphs on 3 to 6 nodes for the smallest one
+    # whose order changes when the clique join is left out. On the 4-cycle
+    # 0-2-1-3-0 every node has degree 2; removing 0 joins 2 and 3, so 1
+    # keeps degree 2 and wins the tie. Without the join, 2 and 3 would drop
+    # to degree 1 and 2 would go second.
+    cycle = {0: {2, 3}, 1: {2, 3}, 2: {0, 1}, 3: {0, 1}}
+    assert _min_degree_order(cycle) == [0, 1, 2, 3]
+    # fewest neighbours first, the smallest node on a tie
+    path = {0: {1, 2}, 1: {0}, 2: {0}}
+    assert _min_degree_order(path) == [1, 0, 2]
+    assert _min_degree_order({}) == []
+
+
+def test_reduce_eliminates_in_minimum_degree_order():
+    # a and b both have a vanishing pivot x - x. b has one removed neighbour
+    # and a two, so b goes first and is named; label order would name a.
+    one, zero = RatFun.ONE, RatFun.ZERO
+    m = RfMatrix(
+        ("a", "b", "c", "d"),
+        [[X, one, one, one], [one, X, zero, zero], [one, zero, zero, zero], [one, zero, zero, zero]],
+    )
+    with pytest.raises(SingularMatrixError, match="pivot of 'b'"):
+        reduce(m, ("d",))
 
 
 # -- sequences ---------------------------------------------------------------------

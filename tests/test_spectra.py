@@ -280,6 +280,22 @@ def test_verify_detects_a_wrong_reduction(monkeypatch):
     assert verify_spectrum(big, ("1", "2"), tol=1e-6).passed is False
 
 
+def test_verify_detects_a_wrong_entry_below_the_diagonal(monkeypatch, dgg_matrix):
+    # verify evaluates each distinct entry object once, and mirrored entries
+    # share one; a wrong entry below the diagonal is its own object and must
+    # still be read, so evaluating the upper triangle and mirroring it fails
+    labels = list(dgg_matrix.labels)
+    removed = random.Random(9).sample(labels, 10)
+    keep = [lab for lab in labels if lab not in removed]
+    good = reduce(dgg_matrix, keep)
+    rows = [list(row) for row in good.reduced.entries]
+    rows[2][0] = rows[2][0] + RatFun(1, X)
+    wrong = ReductionResult(RfMatrix(good.reduced.labels, rows), good.removed)
+    assert verify_spectrum(dgg_matrix, keep).passed
+    monkeypatch.setattr(isored, "reduce", lambda m, s: wrong)
+    assert verify_spectrum(dgg_matrix, keep).passed is False
+
+
 def test_verify_dgg_removal_with_repeated_block_eigenvalues(dgg_matrix):
     # the removed block has eigenvalue 0 four times, so the product of the
     # reduced entries' distinct denominators is not det(M_RR - xI)
