@@ -396,51 +396,36 @@ def _gcd_cof(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], .
     c of a(xi) and b(xi). The candidate h is the primitive part of the
     polynomial spelled by c's symmetric base-xi digits. h is accepted only
     if it divides both a and b over Z, and those exact divisions are the
-    cofactors. Otherwise a over the lifted a(xi)/c, then b over the lifted
-    b(xi)/c, is tried the same way, as in sympy's dup_zz_heu_gcd. Then xi
-    grows by that function's schedule, and the steps repeat.
+    cofactors. Otherwise xi grows by the schedule of sympy's
+    dup_zz_heu_gcd, and the steps repeat.
 
-    An accepted h is the gcd G. h divides both inputs, so G = h*u over Z,
-    and u divides the input s of smaller norm. Every root of s has modulus below
-    1 + |s| <= xi/2 - 13, so a nonconstant u has |u(xi)| > xi/2. But G(xi)
-    divides c. For the first candidate c = k*h(xi), k the content of c's
-    digits, so u(xi) divides k, and |k| <= xi/2. For a cofactor route
-    h(xi) = k*c, so u(xi) divides 1. Either way u is a constant, and h = G,
-    as both are primitive with a positive leading entry. sympy starts lower,
-    at max(min(B, 99*sqrt(B)), 2*min(|a|//lc(a), |b|//lc(b)) + 4) for this
-    bound B; the proof here is written for B itself.
+    Every root of the input s of smaller norm has modulus below
+    1 + |s| <= xi/2 - 13. So s(xi) is not 0 and c >= 1, and every
+    nonconstant factor u of s has |u(xi)| > xi/2. An accepted h is the gcd
+    G. h divides both inputs, so G = h*u over Z, and u divides s. But G(xi)
+    divides c = k*h(xi), k the content of c's digits, so u(xi) divides k,
+    and |k| <= xi/2. So u is a constant, and h = G, as both are primitive
+    with a positive leading entry. A constant h divides both inputs, so it
+    is returned without the divisions.
 
     The loop ends. Write a = G*P, b = G*Q with P, Q coprime. Then
     S*P + T*Q = r over Z for the resultant r of P and Q, a nonzero integer,
     so c = |G(xi)|*gamma with gamma dividing r. Once xi > 2*|r|*|G| and
     neither input vanishes at xi, c's symmetric digits spell +-gamma*G, and
-    the first candidate is G. Each step multiplies xi by more than 5."""
+    the candidate is G. Each step multiplies xi by more than 5."""
     if len(a) == 1 or len(b) == 1:
         return (1,), a, b
     if a == b:
         return a, (1,), (1,)
     xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
     while True:
-        fa, fb = _eval_int(a, xi), _eval_int(b, xi)
-        if fa and fb:
-            c = math.gcd(fa, fb)
-            h = _lift(c, xi)
-            if len(h) == 1:
-                return (1,), a, b
-            ca = _quo(a, h)
-            cb = ca and _quo(b, h)
-            if cb:
-                return h, ca, cb
-            ca = _lift(fa // c, xi)
-            h = _quo(a, ca)
-            cb = h and _quo(b, h)
-            if cb:
-                return h, ca, cb
-            cb = _lift(fb // c, xi)
-            h = _quo(b, cb)
-            ca = h and _quo(a, h)
-            if ca:
-                return h, ca, cb
+        h = _lift(math.gcd(_eval_int(a, xi), _eval_int(b, xi)), xi)
+        if len(h) == 1:
+            return (1,), a, b
+        ca = _quo(a, h)
+        cb = ca and _quo(b, h)
+        if cb:
+            return h, ca, cb
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
 
 

@@ -188,9 +188,7 @@ def bipartite_adjacency(data: IncidenceData) -> RfMatrix:
 
 def _gram(labels: Sequence[str], rows: Sequence[Sequence]) -> RfMatrix:
     """The matrix of dot products of every pair of rows, as exact constants."""
-    return RfMatrix(
-        labels, [[RatFun(sum(x * y for x, y in zip(u, v))) for v in rows] for u in rows]
-    )
+    return RfMatrix(labels, [[sum(x * y for x, y in zip(u, v)) for v in rows] for u in rows])
 
 
 def project_rows(data: IncidenceData) -> RfMatrix:
@@ -328,7 +326,7 @@ def parse_incidence_csv(text: str) -> IncidenceData:
         grid.append(tuple(row))
 
     if not row_labels:
-        raise IncidenceFormatError("no data rows", header_no + 1)
+        raise IncidenceFormatError("no data rows", rows_raw[-1][0] + 1)
     try:
         return IncidenceData(tuple(row_labels), tuple(col_labels), tuple(grid), dates)
     except ValueError as exc:

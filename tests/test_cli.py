@@ -284,6 +284,31 @@ def test_reproduce_mismatch_names_its_section(monkeypatch, capsys):
         assert f"{section}: {'MISMATCH' if section == 'series' else 'ok'}" in lines
 
 
+def test_diff_names_length_and_key_differences():
+    expected = {"a": [1, 2], "b": {"c": 1}}
+    got = {"a": [1], "b": {}, "d": 3}
+    assert cli._diff(expected, got) == [
+        "a: length 1 != expected 2",
+        "b.c: missing key",
+        "d: unexpected key",
+    ]
+
+
+def test_reproduce_reports_a_missing_section(monkeypatch, capsys):
+    bundle_of = cli.compute_bundle
+
+    def without_series(data, groups):
+        bundle = bundle_of(data, groups)
+        del bundle["series"]
+        return bundle
+
+    monkeypatch.setattr(cli, "compute_bundle", without_series)
+    assert cli.main(["reproduce"]) == cli.EXIT_MISMATCH == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert "series: MISMATCH" in lines
+    assert "  series: missing key" in lines
+
+
 def test_reproduce_as_module_child_process(tmp_path):
     # The __main__ -> entrypoint -> sys.exit path, run as the benchmark runs it.
     src = Path(__file__).resolve().parents[1] / "src"

@@ -44,6 +44,26 @@ def test_float_inputs_rejected():
         RatFun(0.5)
     with pytest.raises(TypeError, match="got float"):
         RatFun(1, 0.5)
+    for op in (
+        lambda: X + 1.5,
+        lambda: 1.5 + X,
+        lambda: X - 1.5,
+        lambda: 1.5 - X,
+        lambda: X * 1.5,
+        lambda: X / 1.5,
+        lambda: 1.5 / X,
+    ):
+        with pytest.raises(TypeError):
+            op()
+    assert (X == 1.5) is False
+
+
+def test_reflected_operands():
+    assert ratfun_to_str(1 - X) == "-x + 1"
+    assert ratfun_to_str(Fraction(1, 2) - X) == "-x + 1/2"
+    assert ratfun_to_str(2 / X) == "(2)/(x)"
+    with pytest.raises(ZeroDivisionError):
+        1 / RatFun.ZERO
 
 
 def test_scalar_zero_is_canonical_zero():
@@ -471,6 +491,9 @@ def _assert_gcd_cof(a, b):
 @example((5, 2**90, 3), (5, 2**90, 3), (-7, 2))
 @example((-1, 1), (-1, 0, 1), (3, 1))  # one input a multiple of the other
 @example((1, 1), (-31, 1), (1,))  # b vanishes at the first point, 2*1 + 29
+# b = (x+1)(x-35) vanishes at the first point 35; the candidate there,
+# (x+1)(x+2), does not divide b, and the grown point 191 gives x + 1
+@example((2, 3, 1), (-35, -34, 1), (1,))
 @example((2**99 + 1, -3, 1), (2, 1), (2**99 + 1, -3, 1))  # a gcd with a 2^99 coefficient
 def test_gcd_cof_matches_sympy_over_zz(a, b, common):
     for a, b in ((a, b), (_primitive(_convolve(a, common)), _primitive(_convolve(b, common)))):
@@ -479,19 +502,14 @@ def test_gcd_cof_matches_sympy_over_zz(a, b, common):
 
 # Pairs whose first evaluation point misses. A scan of 200,000 random pairs
 # a = g*p, b = g*q (coefficients in [-9, 9], degrees up to 3 each), recording
-# the points each call evaluated at, found pairs answered at a grown point but
-# none answered by a cofactor route, so these are built from a gcd wider than
-# its multiple: BINOM_6 = (x+1)^6 has the coefficient 20, over half of the
-# first point 2*5 + 29 = 39 (5 is the norm of BINOM_6 * (x-1)(x^2-x+1)), so
-# digits cannot spell it there; the cofactor (x-1)(x^2-x+1) can.
+# the points each call evaluated at, found pairs answered at a grown point.
+# The scan's pair has the gcd x + 1. The other two are built from a gcd wider
+# than its multiple: BINOM_6 = (x+1)^6 has the coefficient 20, over half of
+# the first point 2*5 + 29 = 39 (5 is the norm of BINOM_6 * (x-1)(x^2-x+1)),
+# so digits cannot spell it there, and the candidate misses at 39. The grown
+# point 213 spells it, and the candidate there is (x+1)^6.
 BINOM_6 = (1, 6, 15, 20, 15, 6, 1)
 SMALL_COFACTOR = _primitive(_convolve(BINOM_6, _convolve((-1, 1), (1, -1, 1))))
-COFACTOR_ROUTES = [
-    # a over its lifted cofactor answers
-    (SMALL_COFACTOR, _primitive(_convolve(BINOM_6, (2, 1)))),
-    # a's cofactor x + 50 is too wide for the point 39; b over its cofactor answers
-    (_primitive(_convolve(BINOM_6, (50, 1))), SMALL_COFACTOR),
-]
 
 
 def _points_used(monkeypatch, a, b):
@@ -507,15 +525,17 @@ def _points_used(monkeypatch, a, b):
     return sorted(points)
 
 
-@pytest.mark.parametrize("a, b", COFACTOR_ROUTES)
-def test_gcd_cof_cofactor_route_answers_at_the_first_point(monkeypatch, a, b):
-    assert _points_used(monkeypatch, a, b) == [39]
-
-
-def test_gcd_cof_grows_the_point_after_a_miss(monkeypatch):
-    # from the scan above: gcd x + 1; at the first point 2*7 + 29 = 43 all
-    # three candidates fail
-    assert _points_used(monkeypatch, (-9, -8, 1), (-5, 3, 0, -1, 7)) == [43, 234]
+@pytest.mark.parametrize(
+    "a, b, points",
+    [
+        ((-9, -8, 1), (-5, 3, 0, -1, 7), [43, 234]),
+        (SMALL_COFACTOR, _primitive(_convolve(BINOM_6, (2, 1))), [39, 213]),
+        (_primitive(_convolve(BINOM_6, (50, 1))), SMALL_COFACTOR, [39, 213]),
+    ],
+    ids=["scan-pair", "binom6-small-a", "binom6-small-b"],
+)
+def test_gcd_cof_grows_the_point_after_a_miss(monkeypatch, a, b, points):
+    assert _points_used(monkeypatch, a, b) == points
 
 
 def test_gcd_cof_starts_at_the_bound():

@@ -54,6 +54,18 @@ def test_non_binary_entry_rejected():
 def test_ragged_matrix_rejected():
     with pytest.raises(ValueError):
         small([[1, 0], [1]])
+    with pytest.raises(ValueError, match="row count does not match"):
+        small([[1], [0]], rows=("a",))
+
+
+def test_dates_must_cover_every_column():
+    with pytest.raises(ValueError, match="dates must be given for every column"):
+        IncidenceData(("a",), ("b", "c"), ((1, 0),), (datetime.date(1936, 3, 2),))
+
+
+def test_date_of_undated_data_rejected():
+    with pytest.raises(ValueError, match="no date recorded for event 'c0'"):
+        small([[1]]).date_of("c0")
 
 
 def test_rf_matrix_must_be_square():
@@ -184,12 +196,24 @@ def test_mode_convert_three_mode_toy():
 
 
 def test_mode_convert_rejects_bad_blocks():
-    with pytest.raises(ValueError):
-        mode_convert([[None, [[1, 0]]], [[[1], [1]], None]], 1, 2)  # not the transpose
-    with pytest.raises(ValueError):
-        mode_convert([[None, [[1]]], [[[1], [1]], None]], 1, 2)  # inconsistent shapes
-    with pytest.raises(ValueError):
-        mode_convert([[None, [[1]]], [[[1]], None]], 1, 1)  # same mode twice
+    for blocks, i, j, labels, match in [
+        ([[None, [[1, 0]]], [[[1], [1]], None]], 1, 2, None, "not the transpose"),
+        ([[None, [[1]]], [[[1], [1]], None]], 1, 2, None, "inconsistent size for mode 2"),
+        ([[None, [[1]]], [[[1]], None]], 1, 1, None, "two distinct modes"),
+        ([[None, [[1]]], [[[1]]]], 1, 2, None, "square in the number of modes"),
+        ([[None, [[1]]], [[[1]], None]], 1, 3, None, r"must be in 1\.\.2"),
+        ([[None, [[1, 0], [1]]], [[[1, 1], [0]], None]], 1, 2, None, r"block \(1,2\) is ragged"),
+        ([[[[1]], [[1]]], [[[1]], None]], 1, 2, None, "diagonal blocks must be zero"),
+        ([[None, [[1]]], [None, None]], 1, 2, None, r"blocks \(1,2\) and \(2,1\) are required"),
+        ([[None, [[1]]], [[[1]], None]], 1, 2, [["a", "b"], ["c"]], "1 nodes but 2 labels"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            mode_convert(blocks, i, j, labels)
+
+
+def test_mode_convert_rejects_float_blocks():
+    with pytest.raises(TypeError, match="got float"):
+        mode_convert([[None, [[0.5]]], [[[0.5]], None]], 1, 2)
 
 
 # -- CSV ---------------------------------------------------------------------------
@@ -219,6 +243,40 @@ def test_csv_bad_date_diagnostic():
     with pytest.raises(IncidenceFormatError) as err:
         parse_incidence_csv("name,c1\ndate,13/40\nr1,1\n")
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "text, match, line, column",
+    [
+        ("", "empty incidence file", 1, None),
+        ("\n  \n", "empty incidence file", 1, None),
+        ("name,E1,,E3\n", "missing column label", 1, None),
+        ("name,E1,E2\ndate,3/2\n", "date row has 1 entries for 2 columns", 2, None),
+        ("name,E1\ndate,3-2\n", "date must be M/D, got '3-2'", 2, 2),
+        ("name,E1\n,1\n", "missing row label", 2, 1),
+        ("name,E1,E2\nr1,1\n", "row has 1 entries for 2 columns", 2, None),
+        ("name,E1\n", "no data rows", 2, None),
+        # the line after the last one read, past a date row and blank lines
+        ("name,E1\ndate,3/2\n", "no data rows", 3, None),
+        ("name,E1\n\ndate,3/2\n\n", "no data rows", 4, None),
+    ],
+    ids=[
+        "empty",
+        "blank-only",
+        "empty-column-label",
+        "short-date-row",
+        "dash-date",
+        "empty-row-label",
+        "short-data-row",
+        "no-data-rows",
+        "no-data-rows-after-dates",
+        "no-data-rows-after-blank-lines",
+    ],
+)
+def test_csv_diagnostics_name_their_place(text, match, line, column):
+    with pytest.raises(IncidenceFormatError, match=match) as err:
+        parse_incidence_csv(text)
+    assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_csv_missing_header():
