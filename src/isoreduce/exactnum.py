@@ -3,11 +3,17 @@ polynomials among them.
 
 The indeterminate is rendered as ``x`` in all text forms. Every value is
 immutable and canonical from the moment it is constructed. It stores a
-rational k times N/D, with N and D coprime primitive integer parts (dense,
-ascending, no trailing zero, gcd 1, positive leading entry); num and den
-read it with a monic denominator. A value with D = (1,) is a polynomial,
-and its class says so: the one trusted constructor builds a Polynomial
-exactly when D = (1,), so one value always has one class.
+rational p/q times N/D: p and q are ints in lowest terms with q > 0, and N
+and D are coprime primitive integer parts (dense, ascending, no trailing
+zero, gcd 1, positive leading entry); num and den read it with a monic
+denominator. A value with D = (1,) is a polynomial, and its class says so:
+the one trusted constructor builds a Polynomial exactly when D = (1,), so
+one value always has one class.
+
+The arithmetic builds no Fraction: the scalar p/q is carried as two ints
+and kept in lowest terms by cross-cancelled gcds (Knuth, TAOCP Vol. 2,
+4.5.1). A Fraction appears only at the public boundary: as_fraction,
+coeffs, leading, exact inputs, the text form and the hash.
 
 Canonical form makes equality and is-zero tests exact, which the degree
 counting in the reduction pipeline depends on. Nothing on this path ever
@@ -24,6 +30,7 @@ __all__ = [
     "PoleError",
     "Polynomial",
     "RatFun",
+    "count_nonzero",
     "poly_gcd",
     "ratfun_to_str",
     "ratfun_from_str",
@@ -41,16 +48,17 @@ class PoleError(ArithmeticError):
 
 
 class RatFun:
-    """Rational function k * N/D in canonical form.
+    """Rational function (p/q) * N/D in canonical form.
 
-    k is a Fraction; N and D are coprime int tuples, each primitive with a
-    positive leading entry; zero is 0 * ()/(1,). The form is unique, so
-    equality and is-zero checks are plain structural comparisons. num and
-    den give the value as Polynomials with a monic denominator. Every value
-    with D = (1,) is a Polynomial instance, whatever operation made it.
+    p and q are coprime ints with q > 0; N and D are coprime int tuples,
+    each primitive with a positive leading entry; zero is (0/1) * ()/(1,).
+    The form is unique, so equality and is-zero checks are plain structural
+    comparisons. num and den give the value as Polynomials with a monic
+    denominator. Every value with D = (1,) is a Polynomial instance,
+    whatever operation made it.
     """
 
-    __slots__ = ("_k", "_n", "_d")
+    __slots__ = ("_p", "_q", "_n", "_d")
 
     ZERO: "Polynomial"
     ONE: "Polynomial"
@@ -67,11 +75,14 @@ class RatFun:
 
     @property
     def num(self) -> "Polynomial":
-        return _rf(self._n, (1,), self._k / self._d[-1])
+        # p is coprime to q, so gcd(p, q*lc) = gcd(p, lc)
+        p, lc = self._p, self._d[-1]
+        g = math.gcd(p, lc)
+        return _rf(self._n, (1,), p // g, self._q * (lc // g))
 
     @property
     def den(self) -> "Polynomial":
-        return _rf(self._d, (1,), Fraction(1, self._d[-1]))
+        return _rf(self._d, (1,), 1, self._d[-1])
 
     @property
     def is_zero(self) -> bool:
@@ -84,7 +95,7 @@ class RatFun:
     def as_fraction(self) -> Fraction:
         if not self.is_constant:
             raise ValueError(f"{self} is not a constant")
-        return self._k
+        return Fraction(self._p, self._q)
 
     # -- field operations ---------------------------------------------------
 
@@ -95,16 +106,20 @@ class RatFun:
         other = _coerce_rf(other)
         if other is None:
             return NotImplemented
-        return self._k == other._k and self._n == other._n and self._d == other._d
+        return (
+            self._p == other._p
+            and self._q == other._q
+            and self._n == other._n
+            and self._d == other._d
+        )
 
     def __hash__(self):
         # a constant hashes like the int or Fraction it equals
-        if self.is_constant:
-            return hash(self._k)
-        return hash((self._k, self._n, self._d))
+        k = Fraction(self._p, self._q)
+        return hash(k) if self.is_constant else hash((k, self._n, self._d))
 
     def __neg__(self) -> "RatFun":
-        return _rf(self._n, self._d, -self._k)
+        return _rf(self._n, self._d, -self._p, self._q)
 
     def __add__(self, other) -> "RatFun":
         other = _coerce_rf(other)
@@ -117,11 +132,12 @@ class RatFun:
         # Inputs are canonical, so gcd(N1, D1) = gcd(N2, D2) = 1 and the
         # classical reduced-sum identities apply.
         g, d1, d2 = _gcd_cof(self._d, other._d)
-        t = _sum(_mul_ints(self._n, d2), self._k, _mul_ints(other._n, d1), other._k)
+        a, b = _mul_ints(self._n, d2), _mul_ints(other._n, d1)
+        t = _sum(a, self._p, self._q, b, other._p, other._q)
         if not t._n:
             return t
         _, n, e = _gcd_cof(t._n, g)  # e = g / gcd(T, g)
-        return _rf(n, tuple(_mul_ints(_mul_ints(d1, d2), e)), t._k)
+        return _rf(n, tuple(_mul_ints(_mul_ints(d1, d2), e)), t._p, t._q)
 
     __radd__ = __add__
 
@@ -145,7 +161,11 @@ class RatFun:
             return RatFun.ZERO
         _, n1, d2 = _gcd_cof(self._n, other._d)
         _, n2, d1 = _gcd_cof(other._n, self._d)
-        return _rf(tuple(_mul_ints(n1, n2)), tuple(_mul_ints(d1, d2)), self._k * other._k)
+        # the scalars cancel the same way: each p against the other's q
+        p1, q1, p2, q2 = self._p, self._q, other._p, other._q
+        g1, g2 = math.gcd(p1, q2), math.gcd(p2, q1)
+        n, d = tuple(_mul_ints(n1, n2)), tuple(_mul_ints(d1, d2))
+        return _rf(n, d, (p1 // g1) * (p2 // g2), (q1 // g2) * (q2 // g1))
 
     __rmul__ = __mul__
 
@@ -153,9 +173,12 @@ class RatFun:
         other = _coerce_rf(other)
         if other is None:
             return NotImplemented
-        if not other._n:
+        p, q = other._p, other._q
+        if not p:
             raise ZeroDivisionError("division by the zero rational function")
-        return self * _rf(other._d, other._n, 1 / other._k)
+        if p < 0:  # keep the inverse's denominator positive
+            p, q = -p, -q
+        return self * _rf(other._d, other._n, q, p)
 
     def __rtruediv__(self, other) -> "RatFun":
         other = _coerce_rf(other)
@@ -169,11 +192,11 @@ class RatFun:
         """num(x)/den(x) by Horner evaluation; PoleError when den(x) is 0.0, and a
         large float near a pole. A polynomial's den(x) is 1.0, so it evaluates
         as its own Horner sum."""
-        k, lc = self._k, self._d[-1]
+        lc = self._d[-1]
         dv = _horner(self._d, 1, lc, x)
         if dv == 0.0:
             raise PoleError(x)
-        return _horner(self._n, k.numerator, k.denominator * lc, x) / dv
+        return _horner(self._n, self._p, self._q * lc, x) / dv
 
     def __repr__(self):
         return f"{type(self).__name__}({ratfun_to_str(self)!r})"
@@ -185,9 +208,9 @@ class RatFun:
 class Polynomial(RatFun):
     """Dense univariate polynomial over Q: a RatFun whose D is (1,).
 
-    k is the content and N the primitive part, so k * N[i] multiplies x**i.
-    Equality, hashing and the field operations are RatFun's; only the zero
-    polynomial has k = 0 and N = (), and its degree is -inf.
+    p/q is the content and N the primitive part, so (p/q) * N[i] multiplies
+    x**i. Equality, hashing and the field operations are RatFun's; only the
+    zero polynomial has p = 0 and N = (), and its degree is -inf.
     """
 
     __slots__ = ()
@@ -199,12 +222,12 @@ class Polynomial(RatFun):
                 raise TypeError(f"exact coefficient required, got {type(c).__name__}")
         # a list: *generator builds a resized tuple, which piles up on CPython's free lists
         d = math.lcm(*[c.denominator for c in cs])
-        return _poly([c.numerator * (d // c.denominator) for c in cs], Fraction(1, d))
+        return _poly([c.numerator * (d // c.denominator) for c in cs], 1, d)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        k = self._k
-        return tuple([k * v for v in self._n])
+        p, q = self._p, self._q
+        return tuple([Fraction(p * v, q) for v in self._n])
 
     @property
     def degree(self):
@@ -213,18 +236,18 @@ class Polynomial(RatFun):
 
     @property
     def leading(self) -> Fraction:
-        return self._k * self._n[-1] if self._n else self._k
+        return Fraction(self._p * self._n[-1], self._q) if self._n else Fraction(0)
 
     def monic(self) -> "Polynomial":
         if not self._n:
             raise ValueError("the zero polynomial has no monic form")
-        return _rf(self._n, (1,), Fraction(1, self._n[-1]))
+        return _rf(self._n, (1,), 1, self._n[-1])
 
     def __divmod__(self, other) -> tuple["Polynomial", "Polynomial"]:
         """Quotient and remainder over Q: self = q*other + r with deg r < deg other.
 
         Pseudo-division of the primitive parts A and B gives s*A = Q*B + R,
-        so q = Q*k_self/(s*k_other) and r = R*k_self/s exactly.
+        so q = Q*c_self/(s*c_other) and r = R*c_self/s exactly, c the scalars.
         """
         other = _coerce_rf(other)
         if not isinstance(other, Polynomial):
@@ -232,8 +255,8 @@ class Polynomial(RatFun):
         if not other._n:
             raise ZeroDivisionError("polynomial division by zero")
         q, r, s = _pseudo_divmod(self._n, other._n)
-        scale = self._k / s
-        return _poly(q, scale / other._k), _poly(r, scale)
+        p, d = _lowest(self._p, self._q * s)
+        return _poly(q, *_lowest(p * other._q, d * other._p)), _poly(r, p, d)
 
     def __floordiv__(self, other) -> "Polynomial":
         return divmod(self, other)[0]
@@ -242,42 +265,67 @@ class Polynomial(RatFun):
         return divmod(self, other)[1]
 
 
-def _rf(n: tuple[int, ...], d: tuple[int, ...], k: Fraction) -> RatFun:
-    """Trusted constructor of k * N/D; the caller guarantees the canonical form.
-    A primitive D of length 1 is (1,), so the value is a Polynomial."""
+_set_p = RatFun._p.__set__
+_set_q = RatFun._q.__set__
+_set_n = RatFun._n.__set__
+_set_d = RatFun._d.__set__
+
+
+def _rf(n: tuple[int, ...], d: tuple[int, ...], p: int, q: int) -> RatFun:
+    """Trusted constructor of (p/q) * N/D; the caller guarantees the canonical
+    form. A primitive D of length 1 is (1,), so the value is a Polynomial.
+    The slots are set through their descriptors, past the immutability guard."""
     f = object.__new__(Polynomial if len(d) == 1 else RatFun)
-    object.__setattr__(f, "_k", k)
-    object.__setattr__(f, "_n", n)
-    object.__setattr__(f, "_d", d)
+    _set_p(f, p)
+    _set_q(f, q)
+    _set_n(f, n)
+    _set_d(f, d)
     return f
 
 
-RatFun.ZERO = _rf((), (1,), Fraction(0))
-RatFun.ONE = _rf((1,), (1,), Fraction(1))
-RatFun.X = _rf((0, 1), (1,), Fraction(1))
+RatFun.ZERO = _rf((), (1,), 0, 1)
+RatFun.ONE = _rf((1,), (1,), 1, 1)
+RatFun.X = _rf((0, 1), (1,), 1, 1)
 
 
 def _coerce_rf(value):
     if isinstance(value, RatFun):
         return value
     if isinstance(value, (int, Fraction)):
-        return _rf((1,), (1,), Fraction(value)) if value else RatFun.ZERO
+        return _rf((1,), (1,), value.numerator, value.denominator) if value else RatFun.ZERO
     return None
 
 
-def _poly(ints: list[int], scale: Fraction) -> Polynomial:
-    """The canonical polynomial scale * sum(ints[i] * x**i); consumes ints."""
+def count_nonzero(values) -> int:
+    """How many of the RatFuns are nonzero: the exact is-zero test, read off
+    the canonical numerator."""
+    return sum(1 for v in values if v._n)
+
+
+def _lowest(p: int, q: int) -> tuple[int, int]:
+    """p/q in lowest terms with a positive denominator, q nonzero."""
+    g = math.gcd(p, q)
+    if q < 0:
+        g = -g
+    return p // g, q // g
+
+
+def _poly(ints: list[int], p: int, q: int) -> Polynomial:
+    """The canonical polynomial (p/q) * sum(ints[i] * x**i), p/q in lowest
+    terms with q > 0; consumes ints."""
     while ints and ints[-1] == 0:
         ints.pop()
-    if not ints or not scale:
+    if not ints or not p:
         return RatFun.ZERO
     g = math.gcd(*ints)
     if ints[-1] < 0:
         g = -g
     if g != 1:
         ints = [v // g for v in ints]
-        scale = scale * g
-    return _rf(tuple(ints), (1,), scale)
+        # p is coprime to q, so only g can share a factor with q
+        h = math.gcd(g, q)
+        p, q = p * (g // h), q // h
+    return _rf(tuple(ints), (1,), p, q)
 
 
 def _horner(prim, n: int, d: int, x: float) -> float:
@@ -296,6 +344,11 @@ def _horner(prim, n: int, d: int, x: float) -> float:
 
 def _mul_ints(a, b) -> list[int]:
     """Coefficient convolution of two nonempty int sequences."""
+    # A unit factor is the common case: equal or unit denominators in a sum.
+    if len(b) == 1 and b[0] == 1:
+        return list(a)
+    if len(a) == 1 and a[0] == 1:
+        return list(b)
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -305,17 +358,23 @@ def _mul_ints(a, b) -> list[int]:
     return out
 
 
-def _sum(a, ca: Fraction, b, cb: Fraction) -> Polynomial:
-    """The canonical polynomial ca*A + cb*B, for nonempty A, B and nonzero ca, cb."""
+def _sum(a, pa: int, qa: int, b, pb: int, qb: int) -> Polynomial:
+    """The canonical polynomial (pa/qa)*A + (pb/qb)*B, for nonempty A, B and
+    nonzero scalars in lowest terms with positive denominators."""
     if len(a) < len(b):
-        a, ca, b, cb = b, cb, a, ca
-    # ca*A + cb*B = (ca/v) * (v*A + u*B) with u/v = cb/ca in lowest terms
-    ratio = cb / ca
-    u, v = ratio.numerator, ratio.denominator
-    out = [c * v for c in a]
+        a, pa, qa, b, pb, qb = b, pb, qb, a, pa, qa
+    # With g = gcd(pa, pb) and h = gcd(qa, qb), write pa = g*a1, qa = h*a2,
+    # pb = g*b1, qb = h*b2. Then the sum is (g/(h*a2*b2)) * (a1*b2*A + b1*a2*B),
+    # and that scalar is in lowest terms: g divides pa and pb, and h*a2*b2
+    # divides qa*qb, which pa and pb are each coprime to.
+    g = math.gcd(pa, pb)
+    h = math.gcd(qa, qb)
+    a2, b2 = qa // h, qb // h
+    u, v = pa // g * b2, pb // g * a2
+    out = [c * u for c in a]
     for i, c in enumerate(b):
-        out[i] += c * u
-    return _poly(out, ca / v)
+        out[i] += c * v
+    return _poly(out, g, h * a2 * b2)
 
 
 def _pseudo_divmod(a, b) -> tuple[list[int], list[int], int]:
@@ -438,7 +497,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
             raise ValueError("gcd(0, 0) is undefined")
         return (a or b).monic()
     g = _gcd_cof(a._n, b._n)[0]
-    return _rf(g, (1,), Fraction(1, g[-1]))
+    return _rf(g, (1,), 1, g[-1])
 
 
 # -- text form -----------------------------------------------------------------

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from . import isored
+from .exactnum import count_nonzero
 from .netmat import RfMatrix
 
 __all__ = [
@@ -34,7 +35,7 @@ def row_degree(m: RfMatrix, node: str) -> int:
     Edge existence is the exact is-zero test on the rational function,
     never a numeric threshold.
     """
-    return sum(1 for v in m.row(node) if not v.is_zero)
+    return count_nonzero(m.row(node))
 
 
 def min_degree_rule(m: RfMatrix) -> frozenset:

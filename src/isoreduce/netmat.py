@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .exactnum import RatFun
+from .exactnum import Polynomial, RatFun
 
 __all__ = [
     "IncidenceData",
@@ -112,6 +112,9 @@ class IncidenceData:
         return self.dates[self.col_index(col_label)]
 
 
+_RATFUN_TYPES = {RatFun, Polynomial}
+
+
 class RfMatrix:
     """Square node-labeled matrix with rational-function entries."""
 
@@ -121,7 +124,11 @@ class RfMatrix:
         labels = tuple(labels)
         if len(set(labels)) != len(labels):
             raise ValueError("matrix labels must be unique")
-        grid = tuple(tuple(map(RatFun, row)) for row in entries)
+        # only a row holding some other exact number needs coercing
+        grid = tuple(
+            row if set(map(type, row)) <= _RATFUN_TYPES else tuple(map(RatFun, row))
+            for row in map(tuple, entries)
+        )
         if len(grid) != len(labels) or any(len(row) != len(labels) for row in grid):
             raise ValueError("matrix must be square with one row/column per label")
         self._labels = labels
@@ -294,6 +301,11 @@ def parse_incidence_csv(text: str) -> IncidenceData:
     col_labels = [c.strip() for c in header[1:]]
     if not col_labels or any(not c for c in col_labels):
         raise IncidenceFormatError("missing column label", header_no)
+    col_set = set()
+    for k, label in enumerate(col_labels):
+        if label in col_set:
+            raise IncidenceFormatError(f"repeated column label {label!r}", header_no, k + 2)
+        col_set.add(label)
 
     body = rows_raw[1:]
     dates = None
@@ -307,11 +319,17 @@ def parse_incidence_csv(text: str) -> IncidenceData:
         body = body[1:]
 
     row_labels = []
+    row_set = set()
     grid = []
     for line_no, cells in body:
         label = cells[0].strip()
         if not label:
             raise IncidenceFormatError("missing row label", line_no, 1)
+        if label in row_set:
+            raise IncidenceFormatError(f"repeated row label {label!r}", line_no, 1)
+        if label in col_set:
+            raise IncidenceFormatError(f"row label {label!r} is also a column label", line_no, 1)
+        row_set.add(label)
         if len(cells) != len(col_labels) + 1:
             raise IncidenceFormatError(
                 f"row has {len(cells) - 1} entries for {len(col_labels)} columns", line_no

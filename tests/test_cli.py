@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -11,8 +12,9 @@ import pytest
 
 from isoreduce import cli, isored, spectra
 from isoreduce.cli import matrix_to_csv, matrix_to_dot, parse_args
-from isoreduce.exactnum import ratfun_from_str
-from isoreduce.netmat import RfMatrix, bipartite_adjacency, project_rows
+from isoreduce.exactnum import RatFun, ratfun_from_str
+from isoreduce.hierarchy import sequential_reduce
+from isoreduce.netmat import RfMatrix, bipartite_adjacency, load_incidence, project_rows
 
 # The bundled dataset is a reviewed transcription; any edit must be deliberate.
 DGG_SHA256 = "b81d316e66ca44d1c6fc3fb60940ad3753b0c6967d640955dbe3c40f5ddd0b7d"
@@ -441,3 +443,24 @@ def test_exact_outputs_unchanged(tmp_path, monkeypatch):
         for name in [*commands, "dynamics-summary"]
     }
     assert got == EXACT_OUTPUTS
+
+
+def test_reduction_path_builds_no_fraction(tmp_path, monkeypatch, dgg_matrix):
+    # RatFun keeps its scalar as an int pair; a Fraction is built only at
+    # the public boundary, never by reduce or sequential_reduce.
+    synth = tmp_path / "synth.csv"
+    _synth_incidence_csv(monkeypatch, synth)
+    m = bipartite_adjacency(load_incidence(synth))
+    builds = [0]
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        builds[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    assert RatFun.ONE.as_fraction() == 1 and builds == [1]  # the count sees a build
+    builds[0] = 0
+    assert sequential_reduce(m).step_count == 19
+    assert len(isored.reduce(dgg_matrix, BLOCK_KEEP.split()).reduced) == 16
+    assert builds == [0]

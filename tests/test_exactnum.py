@@ -412,6 +412,63 @@ def test_polynomial_eval_is_horner_over_float_coeffs(p, x):
     assert p(x).hex() == acc.hex()
 
 
+# -- the int scalar ---------------------------------------------------------------
+
+
+def _assert_int_scalar(f):
+    """f's scalar p/q is two ints in lowest terms with q > 0, and the
+    Fractions f gives out at its public boundary agree with them."""
+    p, q = f._p, f._q
+    assert type(p) is int and type(q) is int
+    assert q > 0 and math.gcd(p, q) == 1
+    if isinstance(f, Polynomial):
+        cs = f.coeffs
+        assert cs == tuple(Fraction(p * v, q) for v in f._n)
+        assert f.leading == (cs[-1] if cs else 0)
+        rebuilt = Polynomial(cs)
+    else:
+        rebuilt = RatFun(Polynomial(f.num.coeffs), Polynomial(f.den.coeffs))
+    assert f == rebuilt and hash(f) == hash(rebuilt)
+    if f.is_constant:
+        c = f.as_fraction()
+        assert c == Fraction(p, q) and f == c and hash(f) == hash(c)
+
+
+@settings(max_examples=100)
+@given(ratfuns, nonzero_ratfuns, polys, nonzero_polys)
+@example(RatFun(Fraction(1, 2)), RatFun(-2), P(Fraction(2, 3)), P(-4))  # negative divisor
+@example(RatFun(Fraction(2, 3)), RatFun(Fraction(-9, 4)), P(6), P(3, 0, Fraction(-3, 2)))
+def test_scalar_stays_a_coprime_int_pair(f, g, a, b):
+    results = [f + g, f - g, f * g, g * f, f / g, g / f if f else g, -f, -g, f.num, f.den, g.num]
+    results += [g.den, RatFun(a, b), *divmod(a, b), *divmod(b, a if a else b), b.monic()]
+    results += [ratfun_from_str(str(r)) for r in results]
+    for r in results:
+        _assert_int_scalar(r)
+
+
+scalars = st.integers(-50, 50) | st.fractions(-9, 9, max_denominator=12)
+
+
+@settings(max_examples=300)
+@given(scalars, scalars.filter(bool), polys)
+@example(Fraction(1, 2), 2, P(Fraction(2, 3)))  # each cross-gcd cancels on its own
+@example(2, Fraction(1, 2), P(Fraction(2, 3)))
+@example(Fraction(3, 4), -6, P(1))  # a negative divisor
+@example(0, 1, P(1))
+def test_constant_arithmetic_matches_fractions(a, b, p):
+    ra, rb = RatFun(a), RatFun(b)
+    pairs = [(ra + rb, a + b), (ra - rb, a - b), (ra * rb, a * b), (rb * ra, b * a)]
+    pairs += [(ra / rb, Fraction(a) / b), (-ra, -a)]
+    if a:
+        pairs.append((rb / ra, Fraction(b) / a))
+    for got, want in pairs:
+        _assert_int_scalar(got)
+        assert got.as_fraction() == want and got == want and hash(got) == hash(want)
+    assert (ra * p).coeffs == (tuple(a * c for c in p.coeffs) if a else ())
+    assert (p / rb).coeffs == tuple(c / b for c in p.coeffs)
+    assert (p * rb).leading == b * p.leading
+
+
 def _strip(a):
     a = list(a)
     while a and a[-1] == 0:

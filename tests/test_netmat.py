@@ -259,6 +259,9 @@ def test_csv_bad_date_diagnostic():
         # the line after the last one read, past a date row and blank lines
         ("name,E1\ndate,3/2\n", "no data rows", 3, None),
         ("name,E1\n\ndate,3/2\n\n", "no data rows", 4, None),
+        ("name,E1,E2\nr1,1,0\nr1,0,1\n", "repeated row label 'r1'", 3, 1),
+        ("name,E1,E2\nr1,1,0\nE2,0,1\n", "row label 'E2' is also a column label", 3, 1),
+        ("name,E1,E2,E1\nr1,1,0,1\n", "repeated column label 'E1'", 1, 4),
     ],
     ids=[
         "empty",
@@ -271,6 +274,9 @@ def test_csv_bad_date_diagnostic():
         "no-data-rows",
         "no-data-rows-after-dates",
         "no-data-rows-after-blank-lines",
+        "repeated-row-label",
+        "row-label-equals-column-label",
+        "repeated-column-label",
     ],
 )
 def test_csv_diagnostics_name_their_place(text, match, line, column):
