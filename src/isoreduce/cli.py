@@ -135,19 +135,9 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _entry_texts(m: RfMatrix) -> list[list[str]]:
-    # mirrored entries of a symmetric reduction share one RatFun: render it once
-    texts: dict[int, str] = {}
-    for row in m.entries:
-        for v in row:
-            if id(v) not in texts:
-                texts[id(v)] = ratfun_to_str(v)
-    return [[texts[id(v)] for v in row] for row in m.entries]
-
-
 def matrix_to_csv(m: RfMatrix) -> str:
     lines = ["name," + ",".join(m.labels)]
-    for label, row in zip(m.labels, _entry_texts(m)):
+    for label, row in zip(m.labels, m.map_entries(ratfun_to_str)):
         lines.append(label + "," + ",".join(row))
     return "\n".join(lines) + "\n"
 
@@ -173,7 +163,7 @@ def matrix_to_dot(m: RfMatrix) -> str:
 def reduction_json(r: isored.ReductionResult) -> dict:
     return {
         "labels": list(r.reduced.labels),
-        "entries": _entry_texts(r.reduced),
+        "entries": r.reduced.map_entries(ratfun_to_str),
         "removed": list(r.removed),
     }
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from . import isored
-from .exactnum import count_nonzero
 from .netmat import RfMatrix
 
 __all__ = [
@@ -30,12 +29,9 @@ SelectionRule = Callable[[RfMatrix], frozenset]
 
 
 def row_degree(m: RfMatrix, node: str) -> int:
-    """Count of nonzero entries in the node's row, self-loop included once.
-
-    Edge existence is the exact is-zero test on the rational function,
-    never a numeric threshold.
-    """
-    return count_nonzero(m.row(node))
+    """Count of nonzero entries in the node's row, self-loop included once;
+    read off RfMatrix.degrees."""
+    return m.degrees[m.index(node)]
 
 
 def min_degree_rule(m: RfMatrix) -> frozenset:
@@ -46,9 +42,8 @@ def min_degree_rule(m: RfMatrix) -> frozenset:
     """
     if not len(m):
         raise ValueError("rule requires a nonempty matrix")
-    degrees = {lab: row_degree(m, lab) for lab in m.labels}
-    lowest = min(degrees.values())
-    return frozenset(lab for lab, d in degrees.items() if d > lowest)
+    lowest = min(m.degrees)
+    return frozenset(lab for lab, d in zip(m.labels, m.degrees) if d > lowest)
 
 
 @dataclass(frozen=True)
@@ -107,7 +102,7 @@ def sequential_reduce(m: RfMatrix, rule: SelectionRule = min_degree_rule) -> Hie
     current = m
     trace: list[TraceStep] = []
     while True:
-        degrees = {lab: row_degree(current, lab) for lab in current.labels}
+        degrees = dict(zip(current.labels, current.degrees))
         keep = frozenset(rule(current))
         if not keep or keep == set(current.labels):
             trace.append(TraceStep(degrees, ()))

@@ -10,9 +10,9 @@ from __future__ import annotations
 import datetime
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .exactnum import Polynomial, RatFun
+from .exactnum import Polynomial, RatFun, count_nonzero
 
 __all__ = [
     "IncidenceData",
@@ -42,6 +42,7 @@ class IncidenceFormatError(ValueError):
 # A keep or restrict file line whose first non-blank character is this is a
 # comment, so no label may start with it.
 COMMENT = "#"
+_COMMENTED_LABEL = f"a label must not start with {COMMENT!r}, got {{!r}}"
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ class IncidenceData:
             raise ValueError("labels must be unique within and across modes")
         for label in labels:
             if label.lstrip().startswith(COMMENT):
-                raise ValueError(f"a label must not start with {COMMENT!r}, got {label!r}")
+                raise ValueError(_COMMENTED_LABEL.format(label))
         if len(grid) != len(rows):
             raise ValueError("matrix row count does not match row labels")
         for row in grid:
@@ -118,7 +119,7 @@ _RATFUN_TYPES = {RatFun, Polynomial}
 class RfMatrix:
     """Square node-labeled matrix with rational-function entries."""
 
-    __slots__ = ("_labels", "_entries", "_index")
+    __slots__ = ("_labels", "_entries", "_index", "_degrees")
 
     def __init__(self, labels: Sequence[str], entries: Sequence[Sequence]):
         labels = tuple(labels)
@@ -134,6 +135,7 @@ class RfMatrix:
         self._labels = labels
         self._entries = grid
         self._index = {lab: i for i, lab in enumerate(labels)}
+        self._degrees = tuple(map(count_nonzero, grid))
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -142,6 +144,21 @@ class RfMatrix:
     @property
     def entries(self) -> tuple[tuple[RatFun, ...], ...]:
         return self._entries
+
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        """Each row's nonzero count in label order, taken once when the matrix
+        is built; a self-loop counts once, and zero is the exact is-zero test."""
+        return self._degrees
+
+    def map_entries(self, fn: Callable[[RatFun], object]) -> list[list]:
+        """The grid of fn(v), calling fn once per distinct entry object:
+        mirrored entries of a symmetric reduction share one RatFun."""
+        done: dict[int, object] = {}
+        return [
+            [done[id(v)] if id(v) in done else done.setdefault(id(v), fn(v)) for v in row]
+            for row in self._entries
+        ]
 
     def __len__(self) -> int:
         return len(self._labels)
@@ -303,6 +320,8 @@ def parse_incidence_csv(text: str) -> IncidenceData:
         raise IncidenceFormatError("missing column label", header_no)
     col_set = set()
     for k, label in enumerate(col_labels):
+        if label.startswith(COMMENT):
+            raise IncidenceFormatError(_COMMENTED_LABEL.format(label), header_no, k + 2)
         if label in col_set:
             raise IncidenceFormatError(f"repeated column label {label!r}", header_no, k + 2)
         col_set.add(label)
@@ -325,6 +344,8 @@ def parse_incidence_csv(text: str) -> IncidenceData:
         label = cells[0].strip()
         if not label:
             raise IncidenceFormatError("missing row label", line_no, 1)
+        if label.startswith(COMMENT):
+            raise IncidenceFormatError(_COMMENTED_LABEL.format(label), line_no, 1)
         if label in row_set:
             raise IncidenceFormatError(f"repeated row label {label!r}", line_no, 1)
         if label in col_set:
@@ -345,10 +366,7 @@ def parse_incidence_csv(text: str) -> IncidenceData:
 
     if not row_labels:
         raise IncidenceFormatError("no data rows", rows_raw[-1][0] + 1)
-    try:
-        return IncidenceData(tuple(row_labels), tuple(col_labels), tuple(grid), dates)
-    except ValueError as exc:
-        raise IncidenceFormatError(str(exc)) from None
+    return IncidenceData(tuple(row_labels), tuple(col_labels), tuple(grid), dates)
 
 
 def load_incidence(path: str | Path) -> IncidenceData:

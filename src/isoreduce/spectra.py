@@ -158,7 +158,7 @@ def verify_spectrum(m: RfMatrix, s: Iterable[str], tol: float = 1e-6) -> Spectru
     naming the first unknown label given; a reduction that does not keep
     exactly the requested labels raises RuntimeError.
     """
-    full = [[float(v.as_fraction()) for v in row] for row in m.entries]  # raises unless constant
+    full = m.map_entries(lambda v: float(v.as_fraction()))  # raises unless constant
     if not m.is_symmetric():
         raise ValueError("spectrum verification requires a symmetric matrix")
     wanted = dict.fromkeys(s)
@@ -181,14 +181,8 @@ def verify_spectrum(m: RfMatrix, s: Iterable[str], tol: float = 1e-6) -> Spectru
         if min(abs(lam - mu) for mu in eig_removed) < EXCLUSION_GAP:
             checks.append(EigenCheck(lam, True, math.nan))
             continue
-        # Mirrored entries of a symmetric reduction share one RatFun, so each
-        # distinct object is evaluated once; every entry of the grid is still
-        # read, so a wrong entry on either side of the diagonal shows.
-        at: dict[int, float] = {}
-        vals = [
-            [at[id(v)] if id(v) in at else at.setdefault(id(v), v(lam)) for v in row]
-            for row in reduced.entries
-        ]
+        # one evaluation per distinct entry object, and still one value per cell
+        vals = reduced.map_entries(lambda v: v(lam))
         for i in range(n):
             vals[i][i] -= lam
         pivots = _lu_pivots(vals)

@@ -158,3 +158,6 @@ SERIES_G2_JOINT = (4, 7, 1, 5)
 
 ACTIVE_WOMEN = frozenset(f"W_{i}" for i in (1, 2, 3, 4, 12, 13, 14, 15))
 POPULAR_EVENTS = frozenset(f"E_{j}" for j in (5, 6, 7, 8, 9))
+
+# The keep set of the benchmark's block-reduce-verify workload: a 16-node elimination.
+BLOCK_KEEP = "W_1 W_2 W_5 W_6 W_8 W_10 W_11 W_12 W_14 W_17 W_18 E_2 E_5 E_9 E_11 E_13"

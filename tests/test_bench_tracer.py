@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import isoreduce
+from dgg_expected import BLOCK_KEEP
+from isoreduce import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER_PATH = ROOT / "bench" / "tracer.py"
@@ -103,3 +105,34 @@ def test_package_calls_traced_functions_through_their_module(path, monkeypatch):
     homes = _traced_functions(_load_tracer(monkeypatch))
     assert homes
     assert not _early_bindings(path, homes)
+
+
+# (add, mul, div, eval calls, RfMatrix builds) of one traced pass per workload
+TRACED_COUNTERS = {
+    "dgg-reproduce": (711, 860, 185, 0, 13),
+    "synth-hierarchy": (6965, 7663, 761, 0, 20),
+    "block-reduce-verify": (1240, 1440, 232, 2782, 4),
+}
+
+
+def test_one_traced_pass_per_workload(tmp_path, monkeypatch, synth_csv):
+    # layer_metrics raises unless the self times partition the traced total,
+    # which is what breaks when work moves from one span to another
+    tracer = _load_tracer(monkeypatch)
+    keep = tmp_path / "keep.txt"
+    keep.write_text("\n".join(BLOCK_KEEP.split()) + "\n")
+    out = str(tmp_path / "out")
+    workloads = {
+        "dgg-reproduce": [["reproduce"]],
+        "synth-hierarchy": [["hierarchy", "--input", str(synth_csv)]],
+        "block-reduce-verify": [["reduce", "--keep", str(keep)], ["verify", "--keep", str(keep)]],
+    }
+    for name, ops in workloads.items():
+        pass_tracer = tracer.Tracer()
+        with pass_tracer.installed(isoreduce):
+            main = pass_tracer.span("cli.main", cli.main)
+            for argv in ops:
+                assert main([*argv, "--output", out]) == 0, argv
+        metrics = tracer.layer_metrics(pass_tracer)
+        calls = [metrics[f"exactnum.{op}_calls"] for op in ("add", "mul", "div", "eval")]
+        assert (*calls, metrics["netmat.rfmatrix_builds"]) == TRACED_COUNTERS[name], name

@@ -1,5 +1,4 @@
 import hashlib
-import importlib.util
 import json
 import os
 import subprocess
@@ -10,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from dgg_expected import BLOCK_KEEP
 from isoreduce import cli, isored, spectra
 from isoreduce.cli import matrix_to_csv, matrix_to_dot, parse_args
 from isoreduce.exactnum import RatFun, ratfun_from_str
@@ -113,7 +113,8 @@ def test_label_starting_with_hash_exit_1(tmp_path, capsys):
     keep.write_text("#W\nE1\nE2\n")
     out = tmp_path / "r.json"
     assert cli.main(["reduce", "--input", str(csv), "--keep", str(keep), "--output", str(out)]) == 1
-    assert "error: a label must not start with '#', got '#W'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == "error: a label must not start with '#', got '#W' (line 2, column 1)\n"
     assert not out.exists()
 
 
@@ -371,11 +372,6 @@ def test_matrix_csv_round_trip_preserves_text(dgg):
 
 # -- exact outputs ---------------------------------------------------------------
 
-BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
-
-# The keep set of the benchmark's block-reduce-verify workload: a 16-node elimination.
-BLOCK_KEEP = "W_1 W_2 W_5 W_6 W_8 W_10 W_11 W_12 W_14 W_17 W_18 E_2 E_5 E_9 E_11 E_13"
-
 # sha256 of each output file. A verify report is hashed with each residual
 # replaced by its verdict: residuals go through libm log/exp, whose last bit may
 # differ between platforms, while the Jacobi eigenvalues use only IEEE operations
@@ -397,21 +393,8 @@ EXACT_OUTPUTS = {
 }
 
 
-def _synth_incidence_csv(monkeypatch, path):
-    # read bench/ without leaving a bytecode cache behind in it
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("bench_inputs", BENCH_INPUTS)
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
-    grid = inputs.random_incidence(inputs.INSTANCE_SEED, inputs.ROWS, inputs.COLS, inputs.DENSITY)
-    rows = [f"r{i:02d}" for i in range(inputs.ROWS)]
-    cols = [f"c{j:02d}" for j in range(inputs.COLS)]
-    path.write_text(inputs.incidence_csv(rows, cols, grid), encoding="utf-8")
-
-
-def test_exact_outputs_unchanged(tmp_path, monkeypatch):
-    synth, keep, four = tmp_path / "synth.csv", tmp_path / "keep.txt", tmp_path / "four.txt"
-    _synth_incidence_csv(monkeypatch, synth)
+def test_exact_outputs_unchanged(tmp_path, synth_csv):
+    synth, keep, four = synth_csv, tmp_path / "keep.txt", tmp_path / "four.txt"
     keep.write_text("\n".join(BLOCK_KEEP.split()) + "\n")
     four.write_text("W_1\nW_14\nE_5\nE_14\n")
     commands = {
@@ -445,12 +428,10 @@ def test_exact_outputs_unchanged(tmp_path, monkeypatch):
     assert got == EXACT_OUTPUTS
 
 
-def test_reduction_path_builds_no_fraction(tmp_path, monkeypatch, dgg_matrix):
+def test_reduction_path_builds_no_fraction(synth_csv, monkeypatch, dgg_matrix):
     # RatFun keeps its scalar as an int pair; a Fraction is built only at
     # the public boundary, never by reduce or sequential_reduce.
-    synth = tmp_path / "synth.csv"
-    _synth_incidence_csv(monkeypatch, synth)
-    m = bipartite_adjacency(load_incidence(synth))
+    m = bipartite_adjacency(load_incidence(synth_csv))
     builds = [0]
     new = Fraction.__new__
 

@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from isoreduce import isored
+from isoreduce import hierarchy, isored
 from isoreduce.cli import hierarchy_json
 from isoreduce.exactnum import Polynomial, RatFun
 from isoreduce.hierarchy import (
@@ -36,6 +37,38 @@ def test_self_loop_counts_once():
 def test_unknown_node():
     with pytest.raises(ValueError):
         row_degree(path3(), "zz")
+
+
+def test_stored_degrees_are_the_row_counts():
+    # zero rows, self-loops and rational entries, counted against the input grid
+    x = Polynomial.X
+    values = [0, 0, 0, 1, Fraction(-2, 3), x, RatFun(1, x), RatFun(x, x + 1)]
+    rng = random.Random(31)
+    zero_rows = self_loops = 0
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        grid = [[rng.choice(values) for _ in range(n)] for _ in range(n)]
+        grid[rng.randrange(n)] = [0] * n
+        m = RfMatrix(tuple(f"v{i}" for i in range(n)), grid)
+        counts = tuple(sum(1 for v in row if v != 0) for row in grid)
+        assert m.degrees == counts
+        assert tuple(row_degree(m, lab) for lab in m.labels) == counts
+        zero_rows += counts.count(0)
+        self_loops += sum(1 for i in range(n) if grid[i][i] != 0)
+    assert zero_rows and self_loops
+
+
+def test_hierarchy_reads_the_stored_degrees(monkeypatch, dgg_matrix):
+    def scan(*args):
+        raise AssertionError("a row was scanned")
+
+    monkeypatch.setattr(hierarchy, "row_degree", scan)
+    monkeypatch.setattr(RfMatrix, "row", scan)
+    h = sequential_reduce(dgg_matrix)
+    assert len(h.trace) == 8
+    for step, t in enumerate(h.trace):
+        assert t.degrees == exp.TRACE_DEGREES[step]
+        assert t.removed == exp.TRACE_REMOVED[step]
 
 
 def test_dgg_reduced_degrees(dgg_hierarchy):

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from dgg_expected import BLOCK_KEEP
+from isoreduce import isored
 from isoreduce.netmat import (
     IncidenceData,
     IncidenceFormatError,
@@ -78,6 +80,21 @@ def test_rf_matrix_must_be_square():
 def test_rf_matrix_rejects_float_entries():
     with pytest.raises(TypeError):
         RfMatrix(("a",), [[0.5]])
+
+
+def test_map_entries_calls_once_per_distinct_entry(dgg_matrix):
+    # a symmetric reduction shares each mirrored entry as one RatFun
+    reduced = isored.reduce(dgg_matrix, BLOCK_KEEP.split()).reduced
+    seen = []
+
+    def render(v):
+        seen.append(v)
+        return str(v)
+
+    grid = reduced.map_entries(render)
+    assert grid == [[str(v) for v in row] for row in reduced.entries]
+    distinct = {id(v) for row in reduced.entries for v in row}
+    assert len(seen) == len({id(v) for v in seen}) == len(distinct) < len(reduced) ** 2
 
 
 # -- bipartite adjacency ----------------------------------------------------------
@@ -262,6 +279,8 @@ def test_csv_bad_date_diagnostic():
         ("name,E1,E2\nr1,1,0\nr1,0,1\n", "repeated row label 'r1'", 3, 1),
         ("name,E1,E2\nr1,1,0\nE2,0,1\n", "row label 'E2' is also a column label", 3, 1),
         ("name,E1,E2,E1\nr1,1,0,1\n", "repeated column label 'E1'", 1, 4),
+        ("name,#E1\nr1,1\n", "a label must not start with '#', got '#E1'", 1, 2),
+        ("name,E1\n\n #r1,1\n", "a label must not start with '#', got '#r1'", 3, 1),
     ],
     ids=[
         "empty",
@@ -277,6 +296,8 @@ def test_csv_bad_date_diagnostic():
         "repeated-row-label",
         "row-label-equals-column-label",
         "repeated-column-label",
+        "hash-column-label",
+        "hash-row-label",
     ],
 )
 def test_csv_diagnostics_name_their_place(text, match, line, column):

@@ -5,6 +5,7 @@ import random
 import pytest
 import sympy
 
+from dgg_expected import BLOCK_KEEP
 from isoreduce.exactnum import Polynomial, RatFun
 from isoreduce import isored, spectra
 from isoreduce.cli import spectrum_json
@@ -294,6 +295,21 @@ def test_verify_detects_a_wrong_entry_below_the_diagonal(monkeypatch, dgg_matrix
     assert verify_spectrum(dgg_matrix, keep).passed
     monkeypatch.setattr(isored, "reduce", lambda m, s: wrong)
     assert verify_spectrum(dgg_matrix, keep).passed is False
+
+
+def test_verify_evaluates_each_distinct_entry_once_per_eigenvalue(monkeypatch, dgg_matrix):
+    # the benchmark's block-reduce-verify keep set; evaluating every cell
+    # of the reduced grid instead would make 6,656 calls
+    calls = [0]
+    evaluate = RatFun.__call__
+
+    def counting(v, x):
+        calls[0] += 1
+        return evaluate(v, x)
+
+    monkeypatch.setattr(RatFun, "__call__", counting)
+    assert verify_spectrum(dgg_matrix, BLOCK_KEEP.split()).passed
+    assert calls == [2782]
 
 
 def test_verify_dgg_removal_with_repeated_block_eigenvalues(dgg_matrix):
