@@ -551,7 +551,10 @@ def _parse_term(text: str) -> tuple[Fraction, int]:
     m = _TERM_RE.match(text)
     if not m or (m.group("coef") is None and m.group("x") is None):
         raise ValueError(f"malformed polynomial term: {text!r}")
-    coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+    try:
+        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in polynomial term: {text!r}") from None
     if m.group("x") is None:
         return coef, 0
     power = int(m.group("pow")) if m.group("pow") else 1
@@ -586,5 +589,8 @@ def ratfun_from_str(text: str) -> RatFun:
     t = text.strip()
     m = _RATFUN_RE.match(t)
     if m:
-        return RatFun(_poly_from_str(m.group("num")), _poly_from_str(m.group("den")))
+        den = _poly_from_str(m.group("den"))
+        if den.is_zero:
+            raise ValueError(f"zero denominator polynomial: {text!r}")
+        return RatFun(_poly_from_str(m.group("num")), den)
     return RatFun(_poly_from_str(t))

@@ -107,9 +107,9 @@ def sequential_reduce(m: RfMatrix, rule: SelectionRule = min_degree_rule) -> Hie
         if not keep or keep == set(current.labels):
             trace.append(TraceStep(degrees, ()))
             break
-        removed = tuple(lab for lab in current.labels if lab not in keep)
-        trace.append(TraceStep(degrees, removed))
-        current = isored.reduce(current, keep).reduced
+        step = isored.reduce(current, keep)
+        trace.append(TraceStep(degrees, step.removed))
+        current = step.reduced
     result = HierarchyResult(tuple(trace))
     if sorted(result.all_labels) != sorted(m.labels):
         raise RuntimeError("core and levels do not partition the input labels")

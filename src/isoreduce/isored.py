@@ -22,14 +22,14 @@ to zero. A vanishing pivot raises SingularMatrixError, naming the first
 node in elimination order whose pivot vanishes, and is never pivoted around.
 
 Since the result does not depend on the order, the order only sets how much
-work the intermediate entries take, and reduce uses greedy minimum degree on
-the removed block's symmetrised zero pattern (H. M. Markowitz, The
-elimination form of the inverse and its application to linear programming,
-Management Science 3, 1957; A. George & J. W. H. Liu, Computer Solution of
-Large Sparse Positive Definite Systems, 1981). Each step removes the node
-with the fewest live removed neighbours, the first in label order on a tie,
-and joins those neighbours into a clique, as its removal fills in the
-entries between them. The order is computed once, from the input's pattern.
+work the intermediate entries take, and reduce picks each pivot by greedy
+minimum degree (H. M. Markowitz, The elimination form of the inverse and its
+application to linear programming, Management Science 3, 1957; A. George &
+J. W. H. Liu, Computer Solution of Large Sparse Positive Definite Systems,
+1981). Each step removes the live removed node v linked to the fewest other
+live removed nodes c (e_vc or e_cv nonzero), the first in label order on a
+tie. The links are read off the live entries, which already hold the fill of
+every earlier removal.
 
 Every network the paper reduces is undirected, and a Schur complement of a
 symmetric matrix is symmetric. For a symmetric input each removal computes
@@ -95,26 +95,6 @@ class ReductionResult:
     removed: tuple[str, ...]
 
 
-def _min_degree_order(neighbours: dict[int, set[int]]) -> list[int]:
-    """Greedy minimum-degree elimination order of a symmetric zero pattern.
-
-    neighbours maps each node to the nodes it shares a nonzero with, itself
-    excluded. Each step takes the node with the fewest live neighbours, the
-    smallest on a tie, and joins its neighbours into a clique.
-    """
-    live = {v: set(nb) for v, nb in neighbours.items()}
-    order = []
-    while live:
-        r = min(live, key=lambda v: (len(live[v]), v))
-        nb = live.pop(r)
-        for v in nb:
-            live[v] |= nb
-            live[v].discard(v)
-            live[v].discard(r)
-        order.append(r)
-    return order
-
-
 def reduce(m: RfMatrix, s: Iterable[str]) -> ReductionResult:
     """Reduce m over the kept node set s, exactly.
 
@@ -122,10 +102,11 @@ def reduce(m: RfMatrix, s: Iterable[str]) -> ReductionResult:
     first unknown label in s's order; kept labels retain m's label order, and
     so do the removed labels in the result.
 
-    The removed nodes go one at a time, in greedy minimum-degree order on the
-    removed block's symmetrised zero pattern (Markowitz, 1957; George & Liu,
-    1981): the node with the fewest live removed neighbours goes first, the
-    first in label order on a tie, and its neighbours join into a clique.
+    The removed nodes go one at a time, in greedy minimum-degree order
+    (Markowitz, 1957; George & Liu, 1981): each step takes the live removed
+    node v linked to the fewest other live removed nodes c (e_vc or e_cv
+    nonzero), the first in label order on a tie. The links are read off the
+    live entries, so the fill of earlier removals counts.
     Removing r sets e_ij <- e_ij + e_ir e_rj / (x - e_rr) on the surviving
     entries, skipping rows with e_ir = 0 and columns with e_rj = 0. When m is
     symmetric only the entries with i <= j are computed and e_ji is set to
@@ -144,12 +125,15 @@ def reduce(m: RfMatrix, s: Iterable[str]) -> ReductionResult:
 
     sym = m.is_symmetric()
     e = [list(row) for row in m.entries]
-    pattern = {
-        r: {c for c in removed if c != r and not (e[r][c].is_zero and e[c][r].is_zero)}
-        for r in removed
-    }
     alive = list(range(len(m)))
-    for r in _min_degree_order(pattern):
+    left = list(removed)
+
+    def live_degree(v: int) -> int:  # links to the other live removed nodes, fill included
+        return sum(1 for c in left if c != v and not (e[v][c].is_zero and e[c][v].is_zero))
+
+    while left:
+        r = min(left, key=live_degree)  # left ascends, so a tie goes to label order
+        left.remove(r)
         alive.remove(r)
         pivot = RatFun.X - e[r][r]
         if pivot.is_zero:

@@ -261,7 +261,9 @@ def test_known_renderings_round_trip(value, text):
 
 
 def test_poly_parse_rejects_garbage():
-    for bad in ("", "x^", "2**x", "y + 1", "1 +"):
+    bad_inputs = ("", "x^", "2**x", "y + 1", "1 +")
+    zero_denominators = ("1/0", "(1)/(0)", "(x)/(0*x)", "x + 3/0*x^2")
+    for bad in bad_inputs + zero_denominators:
         with pytest.raises(ValueError):
             ratfun_from_str(bad)
 

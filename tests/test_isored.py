@@ -8,7 +8,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from isoreduce.cli import reduction_json
 from isoreduce.exactnum import Polynomial, RatFun, ratfun_from_str
-from isoreduce.isored import SingularMatrixError, _min_degree_order, invert_over_field, reduce
+from isoreduce.isored import SingularMatrixError, invert_over_field, reduce
 from isoreduce.netmat import RfMatrix
 
 X = RatFun.X
@@ -202,15 +202,30 @@ def test_reduce_matches_block_formula_on_symmetric_and_rational_matrices():
         _assert_matches_block_formula(rng, m)
 
 
-def _removed_pattern(m, keep):
-    # the removed block's symmetrised zero pattern, as reduce orders it
-    removed = [i for i, lab in enumerate(m.labels) if lab not in keep]
-    e = m.entries
-    return {r: {c for c in removed if c != r and (e[r][c] or e[c][r])} for r in removed}
+def _pivots(monkeypatch, eliminate):
+    # the entries e_rr of the pivots x - e_rr that eliminate() takes, in order
+    seen = []
+    sub = RatFun.__sub__
+
+    def spy(self, other):
+        if self is X:
+            seen.append(other)
+        return sub(self, other)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(RatFun, "__sub__", spy)
+        eliminate()
+    return seen
 
 
-def test_reduce_matches_block_formula_in_minimum_degree_order():
-    # six removed nodes whose minimum-degree order is not label order, on a
+def _reduce_in_label_order(m, keep):
+    for lab in m.labels:
+        if lab not in keep:
+            m = reduce(m, [k for k in m.labels if k != lab]).reduced
+
+
+def test_reduce_matches_block_formula_in_minimum_degree_order(monkeypatch):
+    # six removed nodes that reduce eliminates out of label order, on a
     # symmetric, a directed and a rational matrix: the result must not
     # depend on the order, and the symmetric update's i > j break must hold
     rng = random.Random(30)
@@ -221,24 +236,54 @@ def test_reduce_matches_block_formula_in_minimum_degree_order():
     rational = reduce(random_symmetric(rng, 10, values=values), labels).reduced
     keep = ("1", "4", "7")
     for m in (symmetric, directed, rational):
-        pattern = _removed_pattern(m, keep)
-        assert len(pattern) == 6
-        assert _min_degree_order(pattern) != sorted(pattern)
+        in_one_call = _pivots(monkeypatch, lambda: reduce(m, keep))
+        in_label_order = _pivots(monkeypatch, lambda: _reduce_in_label_order(m, keep))
+        assert len(in_one_call) == len(in_label_order) == 6
+        assert in_one_call != in_label_order
         _assert_block_formula(m, keep)
 
 
-def test_min_degree_order_joins_neighbours_into_a_clique():
-    # Found by scanning random graphs on 3 to 6 nodes for the smallest one
-    # whose order changes when the clique join is left out. On the 4-cycle
-    # 0-2-1-3-0 every node has degree 2; removing 0 joins 2 and 3, so 1
-    # keeps degree 2 and wins the tie. Without the join, 2 and 3 would drop
-    # to degree 1 and 2 would go second.
-    cycle = {0: {2, 3}, 1: {2, 3}, 2: {0, 1}, 3: {0, 1}}
-    assert _min_degree_order(cycle) == [0, 1, 2, 3]
-    # fewest neighbours first, the smallest node on a tie
-    path = {0: {1, 2}, 1: {0}, 2: {0}}
-    assert _min_degree_order(path) == [1, 0, 2]
-    assert _min_degree_order({}) == []
+def test_reduce_counts_fill_when_picking_pivots():
+    # The removed 4-cycle a-c-b-d-a: every node has two removed neighbours,
+    # so a goes first and fills in c-d. Then b, c and d all have two, and b
+    # wins the tie; its pivot x - e_bb = x - x vanishes. A pick that ignored
+    # the fill would see c and d with one neighbour and take c second, whose
+    # pivot x - (x - 1/x + 1/x) vanishes as well.
+    one, zero = RatFun.ONE, RatFun.ZERO
+    m = RfMatrix(
+        ("a", "b", "c", "d", "k"),
+        [
+            [zero, zero, one, one, one],
+            [zero, X, one, one, zero],
+            [one, one, X - 1 / X, zero, zero],
+            [one, one, zero, zero, zero],
+            [one, zero, zero, zero, zero],
+        ],
+    )
+    with pytest.raises(SingularMatrixError, match="pivot of 'b'"):
+        reduce(m, ("k",))
+
+
+def test_reduce_counts_links_that_cancelled():
+    # Outside the contract (x on the diagonal), whether a pivot vanishes
+    # depends on the order. Removing 1 fills in 4-5 with -1/(x+1), and
+    # removing 2 adds +1/(x+1), so the link cancels. A pick from the
+    # input's pattern would still count it, take 3 third and hit x - x.
+    # The live entries give 4 and 5 one link each, so 4 goes third and adds
+    # to e_33, and the reduction succeeds. Found by a seeded random search
+    # of symmetric 5- to 7-node matrices with entries in {-1, 0, 1}.
+    m = RfMatrix(
+        tuple("012345"),
+        [
+            [-1, 1, 0, 0, 0, 0],
+            [1, -1, 0, 0, 1, -1],
+            [0, 0, -1, 0, 1, 1],
+            [0, 0, 0, X, 1, -1],
+            [0, 1, 1, 1, -1, 0],
+            [0, -1, 1, -1, 0, -1],
+        ],
+    )
+    _assert_block_formula(m, ("0",))
 
 
 def test_reduce_eliminates_in_minimum_degree_order():
