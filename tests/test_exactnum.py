@@ -5,7 +5,10 @@ import pytest
 import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import QQ
+from sympy.polys.matrices import DomainMatrix
 
+from dgg_expected import BLOCK_KEEP
 from isoreduce import exactnum
 from isoreduce.exactnum import (
     NEG_INF,
@@ -18,9 +21,13 @@ from isoreduce.exactnum import (
     ratfun_from_str,
     ratfun_to_str,
 )
-from isoreduce.netmat import RfMatrix
+from isoreduce.hierarchy import sequential_reduce
+from isoreduce.isored import reduce
+from isoreduce.netmat import RfMatrix, bipartite_adjacency, parse_incidence_csv
 
 X = Polynomial.X
+SX = sympy.Symbol("x")
+FIELD = QQ.frac_field(SX)
 
 
 def P(*ascending):
@@ -263,9 +270,20 @@ def test_known_renderings_round_trip(value, text):
 def test_poly_parse_rejects_garbage():
     bad_inputs = ("", "x^", "2**x", "y + 1", "1 +")
     zero_denominators = ("1/0", "(1)/(0)", "(x)/(0*x)", "x + 3/0*x^2")
-    for bad in bad_inputs + zero_denominators:
+    huge_exponents = ("x^99999999999",)  # would ask for 10**11 dense coefficients
+    for bad in bad_inputs + zero_denominators + huge_exponents:
         with pytest.raises(ValueError):
             ratfun_from_str(bad)
+
+
+def test_poly_parse_names_the_term_and_the_exponent_limit():
+    limit = exactnum._MAX_EXPONENT
+    with pytest.raises(ValueError, match=rf"above {limit} .*'3\*x\^{limit + 1}'"):
+        ratfun_from_str(f"x + 3*x^{limit + 1}")
+    text = f"-x^{limit} + 1/2*x"
+    value = ratfun_from_str(text)
+    assert value.degree == limit
+    assert ratfun_to_str(value) == text
 
 
 # -- randomized properties --------------------------------------------------------
@@ -606,3 +624,65 @@ def test_gcd_cof_starts_at_the_bound():
     b = _primitive(_convolve((-19601, 1), (2, 1)))
     _assert_gcd_cof(a, b)
     assert _gcd_cof(a, b)[0] == (-19601, 1)
+
+
+# -- the gcd memo ------------------------------------------------------------------
+
+MEMO = exactnum._gcd_cof_cached
+
+
+def test_gcd_memo_is_bounded():
+    # a library caller must not see memory grow without bound
+    assert isinstance(MEMO.cache_info().maxsize, int)
+
+
+def test_gcd_memo_hits_on_the_synth_hierarchy(synth_csv):
+    m = bipartite_adjacency(parse_incidence_csv(synth_csv.read_text(encoding="utf-8")))
+    MEMO.cache_clear()
+    sequential_reduce(m)
+    info = MEMO.cache_info()
+    assert info.hits > 0
+    assert info.currsize <= info.maxsize
+    # every distinct pair fits: nothing was evicted
+    assert info.misses == info.currsize
+
+
+def test_gcd_of_a_sum_against_g_is_not_memoized(monkeypatch):
+    calls = []
+
+    def spy(a, b):
+        calls.append((a, b))
+        return gcd_cof(a, b)
+
+    # 1/((x+1)(x+2)) + 1/((x+1)(x+3)): g = x + 1 and T = (x + 3) + (x + 2)
+    f, h, total = RatFun(1, P(2, 3, 1)), RatFun(1, P(3, 4, 1)), RatFun(P(5, 2), P(6, 11, 6, 1))
+    gcd_cof = exactnum._gcd_cof
+    monkeypatch.setattr(exactnum, "_gcd_cof", spy)
+    MEMO.cache_clear()
+    assert f + h == total
+    assert f + h == total
+    # the denominator gcd is asked once, the gcd of T against g every time
+    denominators, sum_against_g = ((2, 3, 1), (3, 4, 1)), ((5, 2), (1, 1))
+    assert calls == [denominators, sum_against_g, sum_against_g]
+
+
+def _to_field(v):
+    return FIELD.from_sympy(_to_sympy(v.num).as_expr() / _to_sympy(v.den).as_expr())
+
+
+def test_block_reduce_equal_with_cold_and_warm_memo(dgg_matrix):
+    keep = BLOCK_KEEP.split()
+    MEMO.cache_clear()
+    cold = reduce(dgg_matrix, keep).reduced
+    misses = MEMO.cache_info().misses
+    warm = reduce(dgg_matrix, keep).reduced
+    assert MEMO.cache_info().misses == misses
+    assert warm == cold
+    # the independent oracle: M_SS - M_SS̄ (M_S̄S̄ - x I)^(-1) M_S̄S in sympy's QQ(x)
+    n = len(dgg_matrix)
+    ki = [dgg_matrix.index(lab) for lab in keep]
+    ri = [i for i in range(n) if i not in ki]
+    mat = DomainMatrix([[_to_field(v) for v in row] for row in dgg_matrix.entries], (n, n), FIELD)
+    shifted = mat.extract(ri, ri) - DomainMatrix.eye(len(ri), FIELD) * FIELD.convert(SX)
+    oracle = mat.extract(ki, ki) - mat.extract(ki, ri) * shifted.inv() * mat.extract(ri, ki)
+    assert [[_to_field(v) for v in row] for row in cold.entries] == oracle.to_list()

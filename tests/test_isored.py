@@ -298,6 +298,20 @@ def test_reduce_eliminates_in_minimum_degree_order():
         reduce(m, ("d",))
 
 
+def test_reduce_cancels_signed_walks():
+    # i and j meet through r1 (+1 * +1) and through r2 (+1 * -1), so the two
+    # walks cancel and R_ij = 0, while the zero pattern alone would link i
+    # and j. Reading a hierarchy's degrees off the pattern is exact only for
+    # nonnegative constant matrices; signed input must stay on the exact path.
+    m = RfMatrix(
+        ("i", "j", "r1", "r2"),
+        [[0, 0, 1, 1], [0, 0, 1, -1], [1, 1, 0, 0], [1, -1, 0, 0]],
+    )
+    out = reduce(m, ("i", "j")).reduced
+    assert [[str(v) for v in row] for row in out.entries] == [["(2)/(x)", "0"], ["0", "(2)/(x)"]]
+    assert out.degrees == (1, 1)
+
+
 # -- sequences ---------------------------------------------------------------------
 
 
