@@ -117,7 +117,7 @@ def _build_matrix(data: IncidenceData, mode: str) -> RfMatrix:
 
 def _read_labels(path: str) -> list[str]:
     out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in Path(path).read_text(encoding="utf-8-sig").splitlines():
         line = line.strip()
         if line and not line.startswith(netmat.COMMENT):  # a label may contain it past its start
             out.append(line)
@@ -243,7 +243,7 @@ def _names_to_label_lists(obj) -> bool:
 
 def _load_groups(path: str | None) -> dict:
     source = _data_path("dgg_groups.json") if path is None else Path(path)
-    spec = json.loads(source.read_text(encoding="utf-8"))
+    spec = json.loads(source.read_text(encoding="utf-8-sig"))
     if not (
         isinstance(spec, dict)
         and _names_to_label_lists(spec.get("groups"))

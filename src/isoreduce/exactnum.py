@@ -413,7 +413,9 @@ def _eval_int(a, xi: int) -> int:
 
 def _lift(v: int, xi: int) -> tuple[int, ...]:
     """The primitive part of the polynomial whose coefficients are the
-    symmetric base-xi digits of v, each in (-xi/2, xi/2]; v is nonzero."""
+    symmetric base-xi digits of v, each in (-xi/2, xi/2]; v is positive, and
+    so is the top digit: the last step must see 1 <= v <= xi/2, or v would
+    not reach 0."""
     half = xi // 2
     out = []
     while v:
@@ -423,8 +425,6 @@ def _lift(v: int, xi: int) -> tuple[int, ...]:
             v += 1
         out.append(d)
     g = math.gcd(*out)
-    if out[-1] < 0:
-        g = -g
     return tuple(out) if g == 1 else tuple([d // g for d in out])
 
 
@@ -562,8 +562,12 @@ def ratfun_to_str(f: RatFun) -> str:
 
 
 # Far above any degree the package produces: a reduced entry's degree is at
-# most the number of removed nodes.
-_MAX_EXPONENT = 10**6
+# most the number of removed nodes, and the package aims at networks of a few
+# thousand nodes. Arithmetic on a parsed value sets the bound: GCDHEU's
+# integer Horner evaluation grows with the square of the degree, so a
+# quotient of degree 10**5 takes about a second and one of 10**6 does not
+# finish.
+_MAX_EXPONENT = 10**4
 
 _TERM_RE = re.compile(
     r"^(?:(?P<coef>\d+(?:/\d+)?)(?:\*(?=x))?)?(?:(?P<x>x)(?:\^(?P<pow>\d+))?)?$"

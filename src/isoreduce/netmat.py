@@ -370,5 +370,5 @@ def parse_incidence_csv(text: str) -> IncidenceData:
 
 
 def load_incidence(path: str | Path) -> IncidenceData:
-    return parse_incidence_csv(Path(path).read_text(encoding="utf-8"))
+    return parse_incidence_csv(Path(path).read_text(encoding="utf-8-sig"))
 

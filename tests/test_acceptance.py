@@ -23,6 +23,7 @@ from isoreduce.dynamics import (
 )
 
 import dgg_expected as exp
+from helpers import random_symmetric
 
 
 def criterion(number, description):
@@ -39,14 +40,6 @@ def criterion(number, description):
         return wrapper
 
     return deco
-
-
-def _rand_symmetric(rng, n, values):
-    grid = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            grid[i][j] = grid[j][i] = rng.choice(values)
-    return RfMatrix(tuple(str(i) for i in range(n)), grid)
 
 
 @criterion(1, "two-mode hierarchy, all eight levels exact")
@@ -125,7 +118,7 @@ def test_c6_spectrum_preservation(dgg_matrix):
     rng = random.Random(2024)
     for trial in range(100):
         n = rng.randint(2, 8)
-        m = _rand_symmetric(rng, n, (0, 1))
+        m = random_symmetric(rng, n, (0, 1))
         keep = tuple(str(i) for i in sorted(rng.sample(range(n), rng.randint(1, n - 1))))
         rep = verify_spectrum(m, keep, tol=1e-6)
         assert rep.passed, f"trial {trial}: n={n} keep={keep}"
@@ -140,7 +133,7 @@ def test_c7_composition():
     done = 0
     while done < 50:
         n = rng.randint(3, 6)
-        m = _rand_symmetric(rng, n, (-3, -2, -1, 0, 1, 2, 3))
+        m = random_symmetric(rng, n, (-3, -2, -1, 0, 1, 2, 3))
         size1 = rng.randint(2, n - 1)
         s1 = sorted(rng.sample(range(n), size1))
         s2 = sorted(rng.sample(s1, rng.randint(1, size1 - 1)))

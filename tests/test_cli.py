@@ -59,6 +59,7 @@ def test_parse_project():
         ["verify", "--keep", "k.txt", "--tol", "-1"],
         ["verify", "--keep", "k.txt", "--tol", "nan"],
         ["verify", "--keep", "k.txt", "--tol", "inf"],
+        ["verify", "--keep", "k.txt", "--tol", "abc"],
         ["hierarchy", "--year", "1937"],
         ["reproduce", "--input", "x.csv"],  # reproduce always reads the bundled dataset
     ],
@@ -104,6 +105,27 @@ def test_labels_may_contain_hash(tmp_path):
     assert cli.main(argv) == 0
     doc = json.loads(out.read_text())
     assert doc["core"] == ["W2"] and doc["levels"] == [{"rank": 1, "members": ["W#1"]}]
+
+
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (["hierarchy", "--input"], _data_bytes("dgg.csv")),
+        (["reduce", "--keep"], BLOCK_KEEP.replace(" ", "\n").encode()),
+        (["hierarchy", "--restrict"], "\n".join(f"W_{i}" for i in range(1, 19)).encode()),
+        (["dynamics", "--groups"], _data_bytes("dgg_groups.json")),
+    ],
+    ids=["input", "keep", "restrict", "groups"],
+)
+def test_input_may_start_with_a_utf8_bom(tmp_path, capsys, argv, content):
+    # spreadsheet exports start their CSV with U+FEFF
+    outputs = []
+    for name, data in (("plain", content), ("bom", b"\xef\xbb\xbf" + content)):
+        source, out = tmp_path / name, tmp_path / f"{name}.out"
+        source.write_bytes(data)
+        assert cli.main([*argv, str(source), "--output", str(out)]) == 0
+        outputs.append((out.read_bytes(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
 
 
 def test_label_starting_with_hash_exit_1(tmp_path, capsys):

@@ -5,10 +5,9 @@ import pytest
 import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from sympy.polys.domains import QQ
-from sympy.polys.matrices import DomainMatrix
 
 from dgg_expected import BLOCK_KEEP
+from helpers import P, block_formula, to_field
 from isoreduce import exactnum
 from isoreduce.exactnum import (
     NEG_INF,
@@ -26,12 +25,6 @@ from isoreduce.isored import reduce
 from isoreduce.netmat import RfMatrix, bipartite_adjacency, parse_incidence_csv
 
 X = Polynomial.X
-SX = sympy.Symbol("x")
-FIELD = QQ.frac_field(SX)
-
-
-def P(*ascending):
-    return Polynomial(ascending)
 
 
 # -- polynomial basics ---------------------------------------------------------
@@ -122,6 +115,16 @@ def test_divmod_reconstruction_oracle():
 def test_divmod_by_zero():
     with pytest.raises(ZeroDivisionError):
         divmod(X, Polynomial.ZERO)
+
+
+def test_misuse_raises():
+    with pytest.raises(ValueError, match="no monic form"):
+        Polynomial.ZERO.monic()
+    with pytest.raises(TypeError):
+        divmod(X, RatFun(1, X))
+    for value in (X, RatFun(1, X)):
+        with pytest.raises(AttributeError, match="immutable"):
+            value._p = 2
 
 
 def _integer_roots(p, bound=9):
@@ -284,6 +287,15 @@ def test_poly_parse_names_the_term_and_the_exponent_limit():
     value = ratfun_from_str(text)
     assert value.degree == limit
     assert ratfun_to_str(value) == text
+
+
+def test_quotient_at_the_exponent_limit_parses_and_round_trips():
+    # building a quotient runs GCDHEU, whose integer Horner evaluation grows
+    # with the square of the degree: at the limit it takes a fraction of a second
+    limit = exactnum._MAX_EXPONENT
+    for den in ("x^3 + 2", f"x^{limit} + 2"):
+        text = f"(3/2*x^{limit} - 1)/({den})"
+        assert ratfun_to_str(ratfun_from_str(text)) == text
 
 
 # -- randomized properties --------------------------------------------------------
@@ -666,10 +678,6 @@ def test_gcd_of_a_sum_against_g_is_not_memoized(monkeypatch):
     assert calls == [denominators, sum_against_g, sum_against_g]
 
 
-def _to_field(v):
-    return FIELD.from_sympy(_to_sympy(v.num).as_expr() / _to_sympy(v.den).as_expr())
-
-
 def test_block_reduce_equal_with_cold_and_warm_memo(dgg_matrix):
     keep = BLOCK_KEEP.split()
     MEMO.cache_clear()
@@ -678,11 +686,5 @@ def test_block_reduce_equal_with_cold_and_warm_memo(dgg_matrix):
     warm = reduce(dgg_matrix, keep).reduced
     assert MEMO.cache_info().misses == misses
     assert warm == cold
-    # the independent oracle: M_SS - M_SS̄ (M_S̄S̄ - x I)^(-1) M_S̄S in sympy's QQ(x)
-    n = len(dgg_matrix)
-    ki = [dgg_matrix.index(lab) for lab in keep]
-    ri = [i for i in range(n) if i not in ki]
-    mat = DomainMatrix([[_to_field(v) for v in row] for row in dgg_matrix.entries], (n, n), FIELD)
-    shifted = mat.extract(ri, ri) - DomainMatrix.eye(len(ri), FIELD) * FIELD.convert(SX)
-    oracle = mat.extract(ki, ki) - mat.extract(ki, ri) * shifted.inv() * mat.extract(ri, ki)
-    assert [[_to_field(v) for v in row] for row in cold.entries] == oracle.to_list()
+    # the independent oracle, in sympy's QQ(x)
+    assert [[to_field(v) for v in row] for row in cold.entries] == block_formula(dgg_matrix, keep)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import path3
 from isoreduce import hierarchy, isored
 from isoreduce.cli import hierarchy_json
 from isoreduce.exactnum import Polynomial, RatFun
@@ -15,10 +16,6 @@ from isoreduce.hierarchy import (
 from isoreduce.netmat import RfMatrix, project_cols, project_rows
 
 import dgg_expected as exp
-
-
-def path3():
-    return RfMatrix(("1", "2", "3"), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
 
 def complete(n):
@@ -88,6 +85,14 @@ def test_rule_on_path():
 
 def test_rule_on_regular_graph_is_empty():
     assert min_degree_rule(complete(4)) == frozenset()
+
+
+def test_empty_matrix_rejected():
+    empty = RfMatrix((), [])
+    with pytest.raises(ValueError, match="nonempty"):
+        min_degree_rule(empty)
+    with pytest.raises(ValueError, match="empty"):
+        sequential_reduce(empty)
 
 
 def test_rule_on_dgg(dgg_matrix):

@@ -2,22 +2,14 @@ import json
 import random
 
 import pytest
-from sympy import Rational, symbols
-from sympy.polys.domains import QQ
-from sympy.polys.matrices import DomainMatrix
 
+from helpers import P, block_formula, path3, random_symmetric, to_field
 from isoreduce.cli import reduction_json
 from isoreduce.exactnum import Polynomial, RatFun, ratfun_from_str
 from isoreduce.isored import SingularMatrixError, invert_over_field, reduce
 from isoreduce.netmat import RfMatrix
 
 X = RatFun.X
-SX = symbols("x")
-FIELD = QQ.frac_field(SX)
-
-
-def P(*ascending):
-    return Polynomial(ascending)
 
 
 def _identity(n):
@@ -29,18 +21,6 @@ def _matmul(a, b):
         [sum((a[i][k] * b[k][j] for k in range(len(b))), RatFun.ZERO) for j in range(len(b[0]))]
         for i in range(len(a))
     ]
-
-
-def path3():
-    return RfMatrix(("1", "2", "3"), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-
-
-def random_symmetric(rng, n, values=(0, 1)):
-    grid = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            grid[i][j] = grid[j][i] = rng.choice(values)
-    return RfMatrix(tuple(str(i) for i in range(n)), grid)
 
 
 # -- inversion -----------------------------------------------------------------
@@ -150,29 +130,10 @@ def test_reduce_singular_shifted_block():
             reduce(m, keep)
 
 
-def _to_field(v):
-    """A RatFun as an element of sympy's QQ(x), read from its coefficients only."""
-    num, den = (
-        sum(Rational(c.numerator, c.denominator) * SX**k for k, c in enumerate(p.coeffs))
-        for p in (v.num, v.den)
-    )
-    return FIELD.from_sympy(num / den)
-
-
-def _block_formula(m, keep):
-    # the independent oracle: M_SS - M_SS̄ (M_S̄S̄ - x I)^(-1) M_S̄S in sympy's QQ(x)
-    ki = [m.index(lab) for lab in keep]
-    ri = [i for i in range(len(m)) if i not in ki]
-    mat = DomainMatrix([[_to_field(v) for v in row] for row in m.entries], (len(m), len(m)), FIELD)
-    shifted = mat.extract(ri, ri) - DomainMatrix.eye(len(ri), FIELD) * FIELD.convert(SX)
-    reduced = mat.extract(ki, ki) - mat.extract(ki, ri) * shifted.inv() * mat.extract(ri, ki)
-    return reduced.to_list()
-
-
 def _assert_block_formula(m, keep):
     out = reduce(m, keep).reduced
     assert out.labels == keep
-    assert [[_to_field(v) for v in row] for row in out.entries] == _block_formula(m, keep)
+    assert [[to_field(v) for v in row] for row in out.entries] == block_formula(m, keep)
 
 
 def _assert_matches_block_formula(rng, m):

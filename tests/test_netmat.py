@@ -77,6 +77,14 @@ def test_rf_matrix_must_be_square():
         RfMatrix(("a",), [[0, 1]])
 
 
+def test_rf_matrix_equality_hash_and_repr():
+    m = RfMatrix(("a", "b"), [[0, 1], [1, 0]])
+    same = RfMatrix(("a", "b"), [[0, 1], [1, 0]])
+    assert m == same and hash(m) == hash(same)
+    assert (m == 3) is False
+    assert repr(m) == "RfMatrix(labels=['a', 'b'], n=2)"
+
+
 def test_rf_matrix_rejects_float_entries():
     with pytest.raises(TypeError):
         RfMatrix(("a",), [[0.5]])

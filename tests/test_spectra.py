@@ -6,6 +6,7 @@ import pytest
 import sympy
 
 from dgg_expected import BLOCK_KEEP
+from helpers import P, path3
 from isoreduce.exactnum import Polynomial, RatFun
 from isoreduce import isored, spectra
 from isoreduce.cli import spectrum_json
@@ -14,70 +15,6 @@ from isoreduce.netmat import RfMatrix
 from isoreduce.spectra import eval_det, sym_eigenvalues, verify_spectrum
 
 X = RatFun.X
-
-
-def P(*ascending):
-    return Polynomial(ascending)
-
-
-def path3():
-    return RfMatrix(("1", "2", "3"), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-
-
-def _charpoly_int(matrix):
-    """Characteristic polynomial det(tI - M) by fraction-free (Bareiss)
-    elimination over integer polynomials; the oracle for the Jacobi solver."""
-
-    def pmul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return out
-
-    def psub(a, b):
-        out = list(a) + [0] * (len(b) - len(a))
-        for i, cb in enumerate(b):
-            out[i] -= cb
-        while len(out) > 1 and out[-1] == 0:
-            out.pop()
-        return out
-
-    def pdiv_exact(a, b):
-        # exact long division of integer polynomials
-        a = list(a)
-        q = [0] * max(1, len(a) - len(b) + 1)
-        while len(a) >= len(b) and any(a):
-            shift = len(a) - len(b)
-            c = a[-1] // b[-1]
-            assert c * b[-1] == a[-1]
-            q[shift] = c
-            for i, cb in enumerate(b):
-                a[shift + i] -= c * cb
-            while len(a) > 1 and a[-1] == 0:
-                a.pop()
-            if not any(a):
-                break
-        return q
-
-    n = len(matrix)
-    a = [[[-matrix[i][j], 1] if i == j else [-matrix[i][j]] for j in range(n)] for i in range(n)]
-    prev = [1]
-    sign = 1
-    for k in range(n - 1):
-        if a[k][k] == [0] or not any(a[k][k]):
-            swap = next((r for r in range(k + 1, n) if any(a[r][k])), None)
-            if swap is None:
-                continue
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = psub(pmul(a[i][j], a[k][k]), pmul(a[i][k], a[k][j]))
-                a[i][j] = pdiv_exact(num, prev)
-        prev = a[k][k]
-    out = a[n - 1][n - 1]
-    return [sign * c for c in out]
 
 
 # -- jacobi ---------------------------------------------------------------------
@@ -105,6 +42,13 @@ def test_rejects_asymmetric():
         sym_eigenvalues([[0.0, 1.0], [0.0, 0.0]])
 
 
+def test_rejects_non_square_grids():
+    with pytest.raises(ValueError, match="square"):
+        sym_eigenvalues([[0.0, 1.0]])
+    with pytest.raises(ValueError, match="square"):
+        eval_det([[RatFun.ONE, RatFun.ZERO]], 1.0)
+
+
 def test_sweep_cap_raises(monkeypatch):
     from isoreduce import spectra
 
@@ -122,8 +66,7 @@ def test_jacobi_against_charpoly_roots():
             for j in range(i, n):
                 m[i][j] = m[j][i] = rng.randint(-3, 3)
         got = sym_eigenvalues(m)
-        coeffs = _charpoly_int(m)
-        charpoly = sympy.Poly(list(reversed(coeffs)), sympy.Symbol("t"))
+        charpoly = sympy.Matrix(m).charpoly(sympy.Symbol("t"))
         # exact real roots, repeated by multiplicity, in ascending order
         roots = [float(r) for r in sympy.real_roots(charpoly)]
         assert len(roots) == n
@@ -391,6 +334,8 @@ def test_verify_rejects_nonconstant_matrix(monkeypatch):
     monkeypatch.setattr(isored, "reduce", no_reduction)
     with pytest.raises(ValueError, match=r"\(1\)/\(x\) is not a constant"):
         verify_spectrum(m, ("a",))
+    with pytest.raises(ValueError, match="symmetric"):
+        verify_spectrum(RfMatrix(("a", "b"), [[0, 1], [0, 0]]), ("a",))
 
 
 def test_report_json(dgg_matrix):
