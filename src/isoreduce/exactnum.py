@@ -13,7 +13,8 @@ one value always has one class.
 The arithmetic builds no Fraction: the scalar p/q is carried as two ints
 and kept in lowest terms by cross-cancelled gcds (Knuth, TAOCP Vol. 2,
 4.5.1). A Fraction appears only at the public boundary: as_fraction,
-coeffs, leading, exact inputs, the text form and the hash.
+coeffs, leading, exact inputs, the text form, the hash and polynomial
+divmod, which the reduction path never calls.
 
 Canonical form makes equality and is-zero tests exact, which the degree
 counting in the reduction pipeline depends on. Nothing on this path ever
@@ -245,19 +246,20 @@ class Polynomial(RatFun):
         return _rf(self._n, (1,), 1, self._n[-1])
 
     def __divmod__(self, other) -> tuple["Polynomial", "Polynomial"]:
-        """Quotient and remainder over Q: self = q*other + r with deg r < deg other.
-
-        Pseudo-division of the primitive parts A and B gives s*A = Q*B + R,
-        so q = Q*c_self/(s*c_other) and r = R*c_self/s exactly, c the scalars.
-        """
+        """Quotient and remainder over Q: self = q*other + r with deg r < deg other,
+        by schoolbook long division of the Fraction coefficients."""
         other = _coerce_rf(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         if not other._n:
             raise ZeroDivisionError("polynomial division by zero")
-        q, r, s = _pseudo_divmod(self._n, other._n)
-        p, d = _lowest(self._p, self._q * s)
-        return _poly(q, *_lowest(p * other._q, d * other._p)), _poly(r, p, d)
+        r, b = list(self.coeffs), other.coeffs
+        q = [0] * (len(r) - len(b) + 1)
+        for i in reversed(range(len(q))):
+            c = q[i] = r.pop() / b[-1]
+            for j, v in enumerate(b[:-1]):
+                r[i + j] -= c * v
+        return Polynomial(q), Polynomial(r)
 
     def __floordiv__(self, other) -> "Polynomial":
         return divmod(self, other)[0]
@@ -301,14 +303,6 @@ def count_nonzero(values) -> int:
     """How many of the RatFuns are nonzero: the exact is-zero test, read off
     the canonical numerator."""
     return sum(1 for v in values if v._n)
-
-
-def _lowest(p: int, q: int) -> tuple[int, int]:
-    """p/q in lowest terms with a positive denominator, q nonzero."""
-    g = math.gcd(p, q)
-    if q < 0:
-        g = -g
-    return p // g, q // g
 
 
 def _poly(ints: list[int], p: int, q: int) -> Polynomial:
@@ -378,31 +372,6 @@ def _sum(a, pa: int, qa: int, b, pb: int, qb: int) -> Polynomial:
     return _poly(out, g, h * a2 * b2)
 
 
-def _pseudo_divmod(a, b) -> tuple[list[int], list[int], int]:
-    """Pseudo-division of int sequences, b nonzero: s*a = q*b + r, deg r < deg b.
-    A step rescales by lc(b) only when lc(b) does not divide its leading
-    coefficient, so s is a power of lc(b), and s = 1 when b is monic or
-    divides a over Z; q and r are lists without trailing zeros."""
-    lb = b[-1]
-    r = list(a)
-    q = [0] * (len(a) - len(b) + 1)
-    s = 1
-    for i in reversed(range(len(q))):
-        lead = r.pop()
-        c, rem = divmod(lead, lb)
-        if rem:
-            r = [v * lb for v in r]
-            q = [v * lb for v in q]
-            s *= lb
-            c = lead
-        q[i] = c
-        for j, v in enumerate(b[:-1]):
-            r[i + j] -= c * v
-    while r and r[-1] == 0:
-        r.pop()
-    return q, r, s
-
-
 def _eval_int(a, xi: int) -> int:
     """sum(a[i] * xi**i) by Horner over Z."""
     v = 0
@@ -434,8 +403,6 @@ def _quo(a, b) -> tuple[int, ...] | None:
     lb = b[-1]
     r = list(a)
     q = [0] * (len(a) - n)
-    if not q:
-        return None
     for i in reversed(range(len(q))):
         c, rem = divmod(r[i + n], lb)
         if rem:

@@ -15,7 +15,7 @@ from isoreduce.exactnum import (
     Polynomial,
     RatFun,
     _gcd_cof,
-    _pseudo_divmod,
+    _quo,
     poly_gcd,
     ratfun_from_str,
     ratfun_to_str,
@@ -110,6 +110,8 @@ def test_divmod_reconstruction_oracle():
     q, r = divmod(a, b)
     assert q == P(3, -1, 1) and r == P(-2)
     assert b * q + r == a
+    # a divisor whose leading coefficient does not divide the dividend's
+    assert divmod(P(0, 0, 1), P(1, 2)) == (P(Fraction(-1, 4), Fraction(1, 2)), P(Fraction(1, 4)))
 
 
 def test_divmod_by_zero():
@@ -508,34 +510,7 @@ def _strip(a):
     return a
 
 
-def _pad(a, n):
-    return list(a) + [0] * (n - len(a))
-
-
 small_ints = st.integers(-20, 20)
-int_seqs = st.lists(small_ints, max_size=6).map(_strip)
-int_divisors = st.builds(
-    lambda low, lead: low + [lead], st.lists(small_ints, max_size=3), st.sampled_from([1, 2, -3, 6])
-)
-
-
-@settings(max_examples=300)
-@given(int_seqs, int_divisors)
-def test_pseudo_divmod_identity(a, b):
-    q, r, s = _pseudo_divmod(a, b)
-    n = len(a) + len(b)
-    assert _pad([s * v for v in a], n) == [u + v for u, v in zip(_pad(_convolve(q, b), n), _pad(r, n))]
-    assert len(r) < len(b) and r == _strip(r)
-    assert s in {b[-1] ** i for i in range(len(a) + 1)}
-    if b[-1] == 1:
-        assert s == 1
-
-
-@settings(max_examples=300)
-@given(int_divisors, int_divisors)
-def test_pseudo_divmod_exact_over_z_needs_no_scaling(b, c):
-    a = [int(v) for v in _convolve(b, c)]
-    assert _pseudo_divmod(a, b) == (c, [], 1)
 
 
 def _primitive(seq):
@@ -636,6 +611,15 @@ def test_gcd_cof_starts_at_the_bound():
     b = _primitive(_convolve((-19601, 1), (2, 1)))
     _assert_gcd_cof(a, b)
     assert _gcd_cof(a, b)[0] == (-19601, 1)
+
+
+def test_gcd_cof_rejects_a_candidate_longer_than_the_dividend():
+    # The shorter input has the larger norm, so the first point is
+    # 2*3 + 29 = 35, and both inputs take the value 128696 there. The
+    # candidate is then the longer input, which cannot divide the shorter.
+    a, b = (1, 3677), (1, 2, 0, 3)
+    assert _quo(a, b) is None
+    assert _gcd_cof(a, b) == ((1,), a, b)
 
 
 # -- the gcd memo ------------------------------------------------------------------

@@ -265,8 +265,9 @@ def test_verify_dgg_removal_with_repeated_block_eigenvalues(dgg_matrix):
     assert max(c.residual for c in report.checks if not c.excluded) < 1e-9
 
 
-def test_verify_residuals_stay_finite_when_products_overflow(monkeypatch):
-    # every float product over 30 eigenvalues near 1e11..3e12 overflows
+def _wide_path():
+    # a 30-node path whose diagonal runs 1e11..3e12: every float product over
+    # its eigenvalues overflows
     n = 30
     grid = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -274,7 +275,11 @@ def test_verify_residuals_stay_finite_when_products_overflow(monkeypatch):
         if i + 1 < n:
             grid[i][i + 1] = grid[i + 1][i] = 1
     labels = tuple(f"n{i}" for i in range(n))
-    m = RfMatrix(labels, grid)
+    return labels, grid, RfMatrix(labels, grid)
+
+
+def test_verify_residuals_stay_finite_when_products_overflow(monkeypatch):
+    labels, grid, m = _wide_path()
     report = verify_spectrum(m, labels[2:])
     assert report.passed
     assert all(math.isfinite(c.residual) for c in report.checks if not c.excluded)
@@ -287,6 +292,21 @@ def test_verify_residuals_stay_finite_when_products_overflow(monkeypatch):
     report = verify_spectrum(m, labels[2:])
     assert not report.passed
     assert all(1e300 < c.residual < math.inf for c in report.checks if not c.excluded)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the float LU of a singular shifted block reads a wrong reduction's "
+    "residuals as 0; ROADMAP items 1 and 4 give verify an exact verdict",
+)
+def test_verify_rejects_a_wrong_reduction_with_a_singular_shifted_block(monkeypatch):
+    # with 10**300 added, every kept entry reads 1e300 in double precision, so
+    # each shifted block is singular and its LU gives the residual 0.0
+    labels, grid, m = _wide_path()
+    wrong = RfMatrix(labels[2:], [[v + 10**300 for v in row[2:]] for row in grid[2:]])
+    monkeypatch.setattr(isored, "reduce", lambda m, s: ReductionResult(wrong, labels[:2]))
+    report = verify_spectrum(m, labels[2:])
+    assert not report.passed
 
 
 def test_verify_requires_proper_subset():
