@@ -1,32 +1,22 @@
 """The benchmark's tracer wraps package callables by name; every name must
 resolve, and every call inside the package must reach a wrapped function
-through its module attribute."""
+through its module attribute. The tests' copy of the benchmark's keep set
+is the one bench/inputs.py derives."""
 
 import ast
-import importlib.util
 import inspect
-import sys
 from pathlib import Path
 
 import pytest
 
 import isoreduce
 from dgg_expected import BLOCK_KEEP
+from helpers import load_bench
 from isoreduce import cli
 
 ROOT = Path(__file__).resolve().parent.parent
-TRACER_PATH = ROOT / "bench" / "tracer.py"
 # __init__.py only re-exports public names for users; the package calls through the others
 MODULES = [p for p in sorted((ROOT / "src" / "isoreduce").glob("*.py")) if p.name != "__init__.py"]
-
-
-def _load_tracer(monkeypatch):
-    # read bench/ without leaving a bytecode cache behind in it
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _lookup(path: str):
@@ -36,8 +26,8 @@ def _lookup(path: str):
     return obj
 
 
-def test_traced_names_resolve_on_the_package(monkeypatch):
-    tracer = _load_tracer(monkeypatch)
+def test_traced_names_resolve_on_the_package():
+    tracer = load_bench("tracer")
     paths = [path for path, _ in tracer.LAYER_SPANS]
     paths += [f"{owner}.{attr}" for owner, attr, _ in tracer.EXACT_OPS]
     assert paths
@@ -100,9 +90,9 @@ def _early_bindings(path: Path, homes: dict[str, set[str]]) -> list[str]:
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_package_calls_traced_functions_through_their_module(path, monkeypatch):
+def test_package_calls_traced_functions_through_their_module(path):
     # a function bound by name escapes attribute substitution and zeroes its layer metric
-    homes = _traced_functions(_load_tracer(monkeypatch))
+    homes = _traced_functions(load_bench("tracer"))
     assert homes
     assert not _early_bindings(path, homes)
 
@@ -115,10 +105,10 @@ TRACED_COUNTERS = {
 }
 
 
-def test_one_traced_pass_per_workload(tmp_path, monkeypatch, synth_csv):
+def test_one_traced_pass_per_workload(tmp_path, synth_csv):
     # layer_metrics raises unless the self times partition the traced total,
     # which is what breaks when work moves from one span to another
-    tracer = _load_tracer(monkeypatch)
+    tracer = load_bench("tracer")
     keep = tmp_path / "keep.txt"
     keep.write_text("\n".join(BLOCK_KEEP.split()) + "\n")
     out = str(tmp_path / "out")
@@ -136,3 +126,12 @@ def test_one_traced_pass_per_workload(tmp_path, monkeypatch, synth_csv):
         metrics = tracer.layer_metrics(pass_tracer)
         calls = [metrics[f"exactnum.{op}_calls"] for op in ("add", "mul", "div", "eval")]
         assert (*calls, metrics["netmat.rfmatrix_builds"]) == TRACED_COUNTERS[name], name
+
+
+def test_block_keep_is_the_benchmarks_derivation():
+    # block-reduce-verify keeps the bipartite labels outside the seeded removed sample
+    inputs = load_bench("inputs")
+    rows, cols, _ = inputs.read_incidence(ROOT / "src" / "isoreduce" / "data" / "dgg.csv")
+    labels = rows + cols
+    removed = inputs.removed_sample(inputs.INSTANCE_SEED, labels, inputs.REMOVE)
+    assert BLOCK_KEEP.split() == [lab for k, lab in enumerate(labels) if k not in removed]

@@ -2,12 +2,21 @@ import math
 from fractions import Fraction
 
 import pytest
-import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dgg_expected import BLOCK_KEEP
-from helpers import P, block_formula, to_field
+from helpers import (
+    P,
+    block_formula,
+    field_rows,
+    from_roots,
+    integer_roots,
+    sympy_divmod,
+    sympy_monic_gcd,
+    sympy_zz_gcd,
+    to_field,
+)
 from isoreduce import exactnum
 from isoreduce.exactnum import (
     NEG_INF,
@@ -129,10 +138,6 @@ def test_misuse_raises():
             value._p = 2
 
 
-def _integer_roots(p, bound=9):
-    return [r for r in range(-bound, bound + 1) if (p % Polynomial((-r, 1))).is_zero]
-
-
 def test_gcd_shared_factor():
     assert poly_gcd(P(-1, 0, 1), P(-1, 1)) == P(-1, 1)
 
@@ -143,12 +148,10 @@ def test_gcd_coprime():
 
 def test_gcd_via_integer_root_factoring_oracle():
     a, b = P(0, -1, 0, 1), P(-1, 0, 1)  # x^3-x and x^2-1
-    shared = set(_integer_roots(a)) & set(_integer_roots(b))
+    # the independent oracle: sympy finds the roots and multiplies their factors out
+    shared = set(integer_roots(a)) & set(integer_roots(b))
     assert shared == {-1, 1}
-    expected = Polynomial.ONE
-    for root in sorted(shared):
-        expected = expected * P(-root, 1)
-    assert poly_gcd(a, b) == expected == P(-1, 0, 1)
+    assert poly_gcd(a, b) == from_roots(shared) == P(-1, 0, 1)
 
 
 def test_gcd_of_two_zeros_rejected():
@@ -171,9 +174,9 @@ def test_ratfun_multiplicative_inverse():
 def test_ratfun_add_cross_multiply_oracle():
     a = RatFun(1, P(-1, 1))
     b = RatFun(1, P(1, 1))
-    # oracle: plain cross-multiplication, canonicalized by the constructor
-    oracle = RatFun(a.num * b.den + b.num * a.den, a.den * b.den)
-    assert a + b == oracle == RatFun(P(0, 2), P(-1, 0, 1))
+    # oracle: the sum in sympy's QQ(x)
+    assert to_field(a + b) == to_field(a) + to_field(b)
+    assert a + b == RatFun(P(0, 2), P(-1, 0, 1))
 
 
 def test_ratfun_canonical_form():
@@ -309,15 +312,6 @@ ratfuns = st.builds(RatFun, polys, nonzero_polys)
 nonzero_ratfuns = ratfuns.filter(lambda f: not f.is_zero)
 
 
-def _to_sympy(p):
-    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
-    return sympy.Poly(coeffs, sympy.Symbol("x"), domain="QQ")
-
-
-def _from_sympy(p):
-    return Polynomial(Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs()))
-
-
 @settings(max_examples=200)
 @given(polys, nonzero_polys, st.fractions(-9, 9, max_denominator=6))
 def test_arithmetic_results_are_canonical(a, b, c):
@@ -335,13 +329,7 @@ def test_divmod_reconstruction(a, b):
     assert b * q + r == a
     assert r.degree < b.degree
     # the independent oracle: sympy's division over QQ
-    sq, sr = sympy.div(_to_sympy(a), _to_sympy(b))
-    assert (q, r) == (_from_sympy(sq), _from_sympy(sr))
-
-
-def _sympy_monic_gcd(a, b):
-    # the independent oracle: sympy's gcd over QQ is monic
-    return _from_sympy(sympy.gcd(_to_sympy(a), _to_sympy(b)))
+    assert (q, r) == sympy_divmod(a, b)
 
 
 @settings(max_examples=300)
@@ -354,7 +342,7 @@ def test_gcd_divides_both(a, b):
     for p in (a, b):
         if not p.is_zero:
             assert (p % g).is_zero
-    assert g == _sympy_monic_gcd(a, b)
+    assert g == sympy_monic_gcd(a, b)
 
 
 @settings(max_examples=300)
@@ -375,11 +363,13 @@ def test_multiplicative_inverse(f):
 @settings(max_examples=300)
 @given(ratfuns, ratfuns)
 def test_fast_ops_agree_with_plain_cross_multiplication(f, g):
-    assert f + g == RatFun(f.num * g.den + g.num * f.den, f.den * g.den)
-    assert f - g == RatFun(f.num * g.den - g.num * f.den, f.den * g.den)
-    assert f * g == RatFun(f.num * g.num, f.den * g.den)
+    # the independent oracle: the same operation in sympy's QQ(x)
+    a, b = to_field(f), to_field(g)
+    pairs = [(f + g, a + b), (f - g, a - b), (f * g, a * b)]
     if not g.is_zero:
-        assert f / g == RatFun(f.num * g.den, f.den * g.num)
+        pairs.append((f / g, a / b))
+    for got, want in pairs:
+        assert to_field(got) == want
 
 
 @settings(max_examples=300)
@@ -519,14 +509,6 @@ def _primitive(seq):
     return tuple(v // g for v in seq)
 
 
-def _sympy_zz_gcd(a, b):
-    # the independent oracle: sympy's gcd over ZZ, primitive with a positive leading coefficient
-    x = sympy.Symbol("x")
-    g = sympy.Poly(a[::-1], x, domain="ZZ").gcd(sympy.Poly(b[::-1], x, domain="ZZ"))
-    g = g.primitive()[1]
-    return tuple(int(c) for c in reversed((g if g.LC() > 0 else -g).all_coeffs()))
-
-
 prim_parts = (
     st.lists(small_ints | st.integers(-(2**100), 2**100), min_size=1, max_size=6)
     .filter(any)
@@ -540,7 +522,8 @@ KNUTH_B = (21, -9, -4, 0, 5, 0, 3)
 
 def _assert_gcd_cof(a, b):
     g, ca, cb = _gcd_cof(a, b)
-    assert g == _sympy_zz_gcd(a, b)
+    # the independent oracle: sympy's gcd over ZZ
+    assert g == sympy_zz_gcd(a, b)
     assert _strip(_convolve(g, ca)) == list(a)
     assert _strip(_convolve(g, cb)) == list(b)
 
@@ -671,4 +654,4 @@ def test_block_reduce_equal_with_cold_and_warm_memo(dgg_matrix):
     assert MEMO.cache_info().misses == misses
     assert warm == cold
     # the independent oracle, in sympy's QQ(x)
-    assert [[to_field(v) for v in row] for row in cold.entries] == block_formula(dgg_matrix, keep)
+    assert field_rows(cold.entries) == block_formula(dgg_matrix, keep)

@@ -3,24 +3,21 @@ import random
 
 import pytest
 
-from helpers import P, block_formula, path3, random_symmetric, to_field
+from helpers import (
+    P,
+    block_formula,
+    field_identity,
+    field_matrix,
+    field_rows,
+    path3,
+    random_symmetric,
+)
 from isoreduce.cli import reduction_json
 from isoreduce.exactnum import Polynomial, RatFun, ratfun_from_str
 from isoreduce.isored import SingularMatrixError, invert_over_field, reduce
 from isoreduce.netmat import RfMatrix
 
 X = RatFun.X
-
-
-def _identity(n):
-    return [[RatFun.ONE if i == j else RatFun.ZERO for j in range(n)] for i in range(n)]
-
-
-def _matmul(a, b):
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(len(b))), RatFun.ZERO) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
 
 
 # -- inversion -----------------------------------------------------------------
@@ -39,17 +36,17 @@ def test_invert_diagonal():
 
 def test_invert_2x2_adjugate_oracle():
     b = [[-X, RatFun.ONE], [RatFun.ONE, -X]]
-    det = b[0][0] * b[1][1] - b[0][1] * b[1][0]
-    oracle = [
-        [b[1][1] / det, -b[0][1] / det],
-        [-b[1][0] / det, b[0][0] / det],
-    ]
+    # the adjugate over the determinant, in sympy's QQ(x)
+    (p, q), (r, s) = field_rows(b)
+    det = p * s - q * r
+    oracle = [[s / det, -q / det], [-r / det, p / det]]
     inv = invert_over_field(b)
-    assert inv == oracle
+    assert field_rows(inv) == oracle
     den = P(-1, 0, 1)
     assert inv[0][0] == RatFun(P(0, -1), den)
     assert inv[0][1] == RatFun(P(-1), den)
-    assert _matmul(b, inv) == _identity(2)
+    assert inv[1] == [inv[0][1], inv[0][0]]
+    assert field_matrix(b) * field_matrix(inv) == field_identity(2)
 
 
 def test_invert_singular():
@@ -66,7 +63,25 @@ def test_invert_times_original_is_identity():
             for i in range(n)
         ]
         inv = invert_over_field(block)
-        assert _matmul(block, inv) == _identity(n)
+        # the product in sympy's QQ(x)
+        assert field_matrix(block) * field_matrix(inv) == field_identity(n)
+
+
+def test_invert_swaps_rows_for_a_zero_pivot():
+    # a zero on the diagonal: the pivot comes from a row below
+    one, zero = RatFun.ONE, RatFun.ZERO
+    exchange = [[zero, one], [one, zero]]  # its own inverse
+    block = [[zero, one], [one, -X]]
+    for b, expected in ((exchange, exchange), (block, [[X, one], [one, zero]])):
+        inv = invert_over_field(b)
+        assert inv == expected
+        # the product in sympy's QQ(x)
+        assert field_matrix(b) * field_matrix(inv) == field_identity(2)
+
+
+def test_invert_rejects_a_non_square_grid():
+    with pytest.raises(ValueError, match="square"):
+        invert_over_field([[RatFun.ONE, RatFun.ZERO]])
 
 
 # -- single reductions -----------------------------------------------------------
@@ -133,7 +148,7 @@ def test_reduce_singular_shifted_block():
 def _assert_block_formula(m, keep):
     out = reduce(m, keep).reduced
     assert out.labels == keep
-    assert [[to_field(v) for v in row] for row in out.entries] == block_formula(m, keep)
+    assert field_rows(out.entries) == block_formula(m, keep)
 
 
 def _assert_matches_block_formula(rng, m):

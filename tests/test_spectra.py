@@ -3,10 +3,9 @@ import math
 import random
 
 import pytest
-import sympy
 
 from dgg_expected import BLOCK_KEEP
-from helpers import P, path3
+from helpers import P, charpoly_real_roots, det_at, path3
 from isoreduce.exactnum import Polynomial, RatFun
 from isoreduce import isored, spectra
 from isoreduce.cli import spectrum_json
@@ -66,9 +65,7 @@ def test_jacobi_against_charpoly_roots():
             for j in range(i, n):
                 m[i][j] = m[j][i] = rng.randint(-3, 3)
         got = sym_eigenvalues(m)
-        charpoly = sympy.Matrix(m).charpoly(sympy.Symbol("t"))
-        # exact real roots, repeated by multiplicity, in ascending order
-        roots = [float(r) for r in sympy.real_roots(charpoly)]
+        roots = charpoly_real_roots(m)
         assert len(roots) == n
         assert got == pytest.approx(roots, abs=1e-8)
 
@@ -99,18 +96,6 @@ def test_eval_det_path3_reduction_root():
 
 def test_eval_det_matches_symbolic_determinant():
     rng = random.Random(55)
-
-    def sym_det(g):
-        n = len(g)
-        if n == 1:
-            return g[0][0]
-        total = RatFun.ZERO
-        for j in range(n):
-            minor = [row[:j] + row[j + 1 :] for row in g[1:]]
-            term = g[0][j] * sym_det(minor)
-            total = total + (term if j % 2 == 0 else -term)
-        return total
-
     for _ in range(15):
         n = rng.randint(1, 4)
         grid = [
@@ -121,7 +106,7 @@ def test_eval_det_matches_symbolic_determinant():
             for _ in range(n)
         ]
         x = rng.uniform(2.0, 5.0)
-        expected = sym_det(grid)(x)
+        expected = det_at(grid, x)  # exact in sympy's QQ(x), rounded once
         assert eval_det(grid, x) == pytest.approx(expected, abs=1e-9 * max(1.0, abs(expected)))
 
 

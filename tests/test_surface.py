@@ -2,8 +2,9 @@
 exports) every name it imports, and defines no private top-level name that
 nothing in the package reads, so deleted code leaves nothing stale. The
 package imports only the standard library, and the tests' third-party
-imports are exactly the `test` extra of pyproject.toml. Output layouts have
-one owner: no module but cli.py imports json or defines to_json_dict."""
+imports are exactly the `test` extra of pyproject.toml, and only helpers.py
+imports sympy, the tests' exact oracle. Output layouts have one owner: no
+module but cli.py imports json or defines to_json_dict."""
 
 import ast
 import re
@@ -108,3 +109,9 @@ def test_test_extra_matches_test_imports():
     local = {p.stem for p in TESTS} | {"isoreduce"}
     imported = set().union(*map(_absolute_imports, TESTS)) - sys.stdlib_module_names - local
     assert imported == extra
+
+
+def test_only_helpers_imports_sympy():
+    # one module owns every conversion into the oracle
+    importers = [p.name for p in TESTS if "sympy" in _absolute_imports(p)]
+    assert importers == ["helpers.py"]
