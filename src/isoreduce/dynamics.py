@@ -60,15 +60,14 @@ def classify_activity(data: IncidenceData) -> tuple[frozenset, frozenset]:
     mean column, both by strict comparison against the exact mean."""
     n, m = data.shape
     total = sum(sum(row) for row in data.matrix)
-    row_mean = Fraction(total, n) if n else Fraction(0)
-    col_mean = Fraction(total, m) if m else Fraction(0)
+    # s > total/k exactly when s*k > total for k > 0, and an empty mode has no members
     active = frozenset(
-        lab for lab, row in zip(data.row_labels, data.matrix) if sum(row) > row_mean
+        lab for lab, row in zip(data.row_labels, data.matrix) if sum(row) * n > total
     )
     popular = frozenset(
         lab
         for j, lab in enumerate(data.col_labels)
-        if sum(row[j] for row in data.matrix) > col_mean
+        if sum(row[j] for row in data.matrix) * m > total
     )
     return active, popular
 

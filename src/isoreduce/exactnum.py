@@ -11,8 +11,9 @@ the one trusted constructor builds a Polynomial exactly when D = (1,), so
 one value always has one class.
 
 The arithmetic builds no Fraction: the scalar p/q is carried as two ints
-and kept in lowest terms by cross-cancelled gcds (Knuth, TAOCP Vol. 2,
-4.5.1). A Fraction appears only at the public boundary: as_fraction,
+in lowest terms. Products cross-cancel their scalars (Knuth, TAOCP Vol. 2,
+4.5.1); sums and the polynomial constructors take the content out in
+_poly. A Fraction appears only at the public boundary: as_fraction,
 coeffs, leading, exact inputs, the text form, the hash and polynomial
 divmod, which the reduction path never calls.
 
@@ -77,10 +78,8 @@ class RatFun:
 
     @property
     def num(self) -> "Polynomial":
-        # p is coprime to q, so gcd(p, q*lc) = gcd(p, lc)
-        p, lc = self._p, self._d[-1]
-        g = math.gcd(p, lc)
-        return _rf(self._n, (1,), p // g, self._q * (lc // g))
+        p = self._p
+        return _poly([p * v for v in self._n], self._q * self._d[-1])
 
     @property
     def den(self) -> "Polynomial":
@@ -135,11 +134,18 @@ class RatFun:
         # classical reduced-sum identities apply.
         g, d1, d2 = _gcd_cof_cached(self._d, other._d)
         a, b = _mul_ints(self._n, d2), _mul_ints(other._n, d1)
-        t = _sum(a, self._p, self._q, b, other._p, other._q)
+        q1, q2 = self._q, other._q
+        u, v = self._p * q2, other._p * q1
+        if len(a) < len(b):
+            a, b, u, v = b, a, v, u
+        out = [c * u for c in a]
+        for i, c in enumerate(b):
+            out[i] += c * v
+        t = _poly(out, q1 * q2)
         if not t._n:
             return t
         _, n, e = _gcd_cof(t._n, g)  # e = g / gcd(T, g)
-        return _rf(n, tuple(_mul_ints(_mul_ints(d1, d2), e)), t._p, t._q)
+        return _rf(n, _mul_ints(_mul_ints(d1, d2), e), t._p, t._q)
 
     __radd__ = __add__
 
@@ -166,7 +172,7 @@ class RatFun:
         # the scalars cancel the same way: each p against the other's q
         p1, q1, p2, q2 = self._p, self._q, other._p, other._q
         g1, g2 = math.gcd(p1, q2), math.gcd(p2, q1)
-        n, d = tuple(_mul_ints(n1, n2)), tuple(_mul_ints(d1, d2))
+        n, d = _mul_ints(n1, n2), _mul_ints(d1, d2)
         return _rf(n, d, (p1 // g1) * (p2 // g2), (q1 // g2) * (q2 // g1))
 
     __rmul__ = __mul__
@@ -224,7 +230,7 @@ class Polynomial(RatFun):
                 raise TypeError(f"exact coefficient required, got {type(c).__name__}")
         # a list: *generator builds a resized tuple, which piles up on CPython's free lists
         d = math.lcm(*[c.denominator for c in cs])
-        return _poly([c.numerator * (d // c.denominator) for c in cs], 1, d)
+        return _poly([c.numerator * (d // c.denominator) for c in cs], d)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -305,22 +311,20 @@ def count_nonzero(values) -> int:
     return sum(1 for v in values if v._n)
 
 
-def _poly(ints: list[int], p: int, q: int) -> Polynomial:
-    """The canonical polynomial (p/q) * sum(ints[i] * x**i), p/q in lowest
-    terms with q > 0; consumes ints."""
+def _poly(ints: list[int], q: int) -> Polynomial:
+    """The canonical polynomial sum(ints[i] * x**i) / q for q > 0; consumes ints.
+    Its scalar is g/q for the content g, in lowest terms once both lose gcd(g, q)."""
     while ints and ints[-1] == 0:
         ints.pop()
-    if not ints or not p:
+    if not ints:
         return RatFun.ZERO
     g = math.gcd(*ints)
     if ints[-1] < 0:
         g = -g
     if g != 1:
         ints = [v // g for v in ints]
-        # p is coprime to q, so only g can share a factor with q
-        h = math.gcd(g, q)
-        p, q = p * (g // h), q // h
-    return _rf(tuple(ints), (1,), p, q)
+    h = math.gcd(g, q)
+    return _rf(tuple(ints), (1,), g // h, q // h)
 
 
 def _horner(prim, n: int, d: int, x: float) -> float:
@@ -333,43 +337,24 @@ def _horner(prim, n: int, d: int, x: float) -> float:
 
 
 # -- integer kernels ------------------------------------------------------------
-# Int sequences, ascending, no trailing zero. By Gauss's lemma products and
+# Int tuples, ascending, no trailing zero. By Gauss's lemma products and
 # exact quotients of primitive parts are primitive, so they need no gcd pass.
 
 
-def _mul_ints(a, b) -> list[int]:
-    """Coefficient convolution of two nonempty int sequences."""
+def _mul_ints(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficient convolution of two nonempty int tuples."""
     # A unit factor is the common case: equal or unit denominators in a sum.
     if len(b) == 1 and b[0] == 1:
-        return list(a)
+        return a
     if len(a) == 1 and a[0] == 1:
-        return list(b)
+        return b
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
                 if cb:
                     out[i + j] += ca * cb
-    return out
-
-
-def _sum(a, pa: int, qa: int, b, pb: int, qb: int) -> Polynomial:
-    """The canonical polynomial (pa/qa)*A + (pb/qb)*B, for nonempty A, B and
-    nonzero scalars in lowest terms with positive denominators."""
-    if len(a) < len(b):
-        a, pa, qa, b, pb, qb = b, pb, qb, a, pa, qa
-    # With g = gcd(pa, pb) and h = gcd(qa, qb), write pa = g*a1, qa = h*a2,
-    # pb = g*b1, qb = h*b2. Then the sum is (g/(h*a2*b2)) * (a1*b2*A + b1*a2*B),
-    # and that scalar is in lowest terms: g divides pa and pb, and h*a2*b2
-    # divides qa*qb, which pa and pb are each coprime to.
-    g = math.gcd(pa, pb)
-    h = math.gcd(qa, qb)
-    a2, b2 = qa // h, qb // h
-    u, v = pa // g * b2, pb // g * a2
-    out = [c * u for c in a]
-    for i, c in enumerate(b):
-        out[i] += c * v
-    return _poly(out, g, h * a2 * b2)
+    return tuple(out)
 
 
 def _eval_int(a, xi: int) -> int:

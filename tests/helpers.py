@@ -40,6 +40,31 @@ def random_symmetric(rng, n, values=(0, 1)):
     return RfMatrix(tuple(str(i) for i in range(n)), grid)
 
 
+def pattern_trace(m):
+    """The (degrees, removed) stages of a minimum-degree hierarchy of m found
+    from its zero pattern alone, by symbolic elimination: a node's degree is
+    its out-set size, a self-loop counted once, and removing r joins every
+    live in-neighbour of r to every out-neighbour of r, self-loops included.
+    Reads only whether each entry of m is zero."""
+    labels = list(m.labels)
+    out = {a: {b for b, v in zip(labels, row) if v != 0} for a, row in zip(labels, m.entries)}
+    trace = []
+    while True:
+        degrees = {a: len(out[a]) for a in labels}
+        lowest = min(degrees.values())
+        removed = tuple(a for a in labels if degrees[a] == lowest)
+        if len(removed) == len(labels):
+            return trace + [(degrees, ())]
+        trace.append((degrees, removed))
+        for r in removed:
+            labels.remove(r)
+            targets = out.pop(r) - {r}
+            for a in labels:
+                if r in out[a]:
+                    out[a].discard(r)
+                    out[a] |= targets
+
+
 def load_bench(name):
     """The module bench/<name>.py, loaded without leaving a bytecode cache in bench/."""
     spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")

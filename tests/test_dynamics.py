@@ -133,9 +133,14 @@ def test_dgg_means_are_the_documented_fractions(dgg):
 
 
 def test_uniform_matrix_has_no_standouts():
-    data = IncidenceData(("r1", "r2"), ("c1", "c2"), ((1, 1), (1, 1)))
-    active, popular = classify_activity(data)
-    assert active == frozenset() and popular == frozenset()
+    # a uniform matrix, one with no rows and one with no columns
+    for data in (
+        IncidenceData(("r1", "r2"), ("c1", "c2"), ((1, 1), (1, 1))),
+        IncidenceData((), ("c1",), ()),
+        IncidenceData(("r1",), (), ((),)),
+    ):
+        active, popular = classify_activity(data)
+        assert active == frozenset() and popular == frozenset()
 
 
 # -- level means -------------------------------------------------------------------------

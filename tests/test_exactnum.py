@@ -462,6 +462,11 @@ def _assert_int_scalar(f):
 @given(ratfuns, nonzero_ratfuns, polys, nonzero_polys)
 @example(RatFun(Fraction(1, 2)), RatFun(-2), P(Fraction(2, 3)), P(-4))  # negative divisor
 @example(RatFun(Fraction(2, 3)), RatFun(Fraction(-9, 4)), P(6), P(3, 0, Fraction(-3, 2)))
+# sums whose scalar needs the content's gcd against the denominator: (2/3)x + (4/9)x
+# = (10/9)x; (1/2)(1 + x) + (1/2)(1 - x) = 1; and the first over a shared x + 1
+@example(P(0, Fraction(2, 3)), P(0, Fraction(4, 9)), P(0, 2), P(0, 4))
+@example(P(Fraction(1, 2), Fraction(1, 2)), P(Fraction(1, 2), Fraction(-1, 2)), P(1, 1), P(1, -1))
+@example(RatFun(P(0, Fraction(2, 3)), P(1, 1)), RatFun(P(0, Fraction(4, 9)), P(1, 1)), P(1), P(1, 1))
 def test_scalar_stays_a_coprime_int_pair(f, g, a, b):
     results = [f + g, f - g, f * g, g * f, f / g, g / f if f else g, -f, -g, f.num, f.den, g.num]
     results += [g.den, RatFun(a, b), *divmod(a, b), *divmod(b, a if a else b), b.monic()]

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import path3
+from helpers import path3, pattern_trace
 from isoreduce import hierarchy, isored
 from isoreduce.cli import hierarchy_json
 from isoreduce.exactnum import Polynomial, RatFun
@@ -13,7 +15,13 @@ from isoreduce.hierarchy import (
     row_degree,
     sequential_reduce,
 )
-from isoreduce.netmat import RfMatrix, project_cols, project_rows
+from isoreduce.netmat import (
+    RfMatrix,
+    bipartite_adjacency,
+    load_incidence,
+    project_cols,
+    project_rows,
+)
 
 import dgg_expected as exp
 
@@ -181,6 +189,56 @@ def test_lost_label_breaks_partition(monkeypatch):
     path4 = RfMatrix("abcd", [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]])
     with pytest.raises(RuntimeError, match="partition"):
         sequential_reduce(path4)
+
+
+# -- the zero pattern decides a nonnegative hierarchy --------------------------------
+
+
+def _exact_trace(m):
+    return [(t.degrees, t.removed) for t in sequential_reduce(m).trace]
+
+
+@st.composite
+def nonnegative_matrices(draw):
+    n = draw(st.integers(1, 8))
+    entries = st.sampled_from((0, 0, 0, 0, 0, 1, 1, 2, 5))
+    grid = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            for j in range(i):
+                grid[i][j] = grid[j][i]
+    return RfMatrix(tuple(str(i) for i in range(n)), grid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nonnegative_matrices())
+def test_nonnegative_hierarchy_is_the_fill_pattern(m):
+    # every coefficient of a reduced entry at x = oo is a sum of nonnegative
+    # walk weights, so nothing cancels and the pattern alone gives each stage
+    assert _exact_trace(m) == pattern_trace(m)
+
+
+@pytest.mark.parametrize("mode", [bipartite_adjacency, project_rows, project_cols])
+def test_real_hierarchies_are_the_fill_pattern(mode, dgg, synth_csv):
+    for data in (dgg, load_incidence(synth_csv)):
+        m = mode(data)
+        assert _exact_trace(m) == pattern_trace(m)
+
+
+def test_signed_entries_can_cancel_the_fill_pattern():
+    grid = [
+        [0, 0, 0, -1, 0, 0],
+        [0, 0, 1, -1, -1, 0],
+        [0, 1, -1, 0, 1, -1],
+        [-1, -1, 0, 1, -1, -1],
+        [0, -1, 1, -1, -1, 0],
+        [0, 0, -1, -1, 0, 0],
+    ]
+    m = RfMatrix(tuple(str(i) for i in range(6)), grid)
+    exact, pattern = _exact_trace(m), pattern_trace(m)
+    assert exact[:3] == pattern[:3]
+    assert exact[3] == ({"2": 2, "3": 2, "4": 3}, ("2", "3"))
+    assert pattern[3] == ({"2": 3, "3": 3, "4": 3}, ()) and len(pattern) == 4
 
 
 # -- single-mode hierarchies -------------------------------------------------------
